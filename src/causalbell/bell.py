@@ -37,6 +37,8 @@ def _lock(arr: np.ndarray, shape: tuple[int, ...], what: str) -> np.ndarray:
     arr = np.ascontiguousarray(arr, dtype=np.float64)
     if arr.shape != shape:
         raise GraphError(f"{what}: expected shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise GraphError(f"{what}: non-finite entry")
     if (arr < 0).any():
         raise GraphError(f"{what}: negative entry")
     arr.setflags(write=False)
@@ -74,7 +76,7 @@ class LhvModel:
         w = np.ascontiguousarray(self.lambda_weights, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
             raise GraphError("lambda_weights must be a nonempty vector")
-        if (w < 0).any() or abs(float(w.sum()) - 1.0) > _SUM_TOL:
+        if not np.isfinite(w).all() or (w < 0).any() or abs(float(w.sum()) - 1.0) > _SUM_TOL:
             raise GraphError("lambda_weights must be a probability vector")
         n = w.size
         ra = _lock(np.asarray(self.response_a), (n, 2, 2), "response_a")
@@ -404,6 +406,8 @@ def parse_behavior(text: str) -> Behavior:
             raise GraphError(f"line {lineno}: malformed row") from None
         if not all(v in (0, 1) for v in (a, bb, x, y)):
             raise GraphError(f"line {lineno}: outcome/setting values must be 0 or 1")
+        if not math.isfinite(prob):
+            raise GraphError(f"line {lineno}: probability must be finite")
         if prob < 0:
             raise GraphError(f"line {lineno}: negative probability")
         if not np.isnan(table[a, bb, x, y]):

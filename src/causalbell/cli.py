@@ -103,8 +103,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def _validate_flags(args: argparse.Namespace) -> None:
     eps = getattr(args, "eps", None)
-    if eps is not None and eps <= 0:
-        raise GraphError(f"tolerance must be positive, got {eps!r}")
+    if eps is not None and not (0 < eps < math.inf):
+        raise GraphError(f"tolerance must be positive and finite, got {eps!r}")
     trials = getattr(args, "trials", None)
     if trials is not None and trials <= 0:
         raise GraphError(f"trials must be positive, got {trials}")
@@ -130,6 +130,8 @@ def _parse_angles(raw: str) -> tuple[float, float, float, float]:
         a, b, c, d = (float(p) for p in parts)
     except ValueError:
         raise GraphError(f"--angles: malformed number in {raw!r}") from None
+    if not all(map(math.isfinite, (a, b, c, d))):
+        raise GraphError(f"--angles must be finite, got {raw!r}")
     return a, b, c, d
 
 
@@ -308,8 +310,8 @@ def run(argv: list[str]) -> int:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return USAGE
-    except RuntimeError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a fault of the program is never a verdict
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return USAGE
 
 

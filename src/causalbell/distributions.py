@@ -14,6 +14,7 @@ deterministic per seed; tables are write-locked after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -36,8 +37,8 @@ def _lock(arr: np.ndarray) -> np.ndarray:
 class JointTable:
     """Dense joint distribution over an ordered list of (name, cardinality).
 
-    Entries must be non-negative and sum to 1 within 1e-12; the array
-    shape must equal the tuple of cardinalities.
+    Entries must be finite, non-negative and sum to 1 within 1e-12; the
+    array shape must equal the tuple of cardinalities.
     """
 
     variables: tuple[tuple[str, int], ...]
@@ -57,6 +58,8 @@ class JointTable:
         probs = np.asarray(self.probabilities, dtype=np.float64)
         if probs.shape != shape:
             raise GraphError(f"probability array shape {probs.shape} != {shape}")
+        if not np.isfinite(probs).all():
+            raise GraphError("non-finite probability entry")
         if (probs < 0).any():
             raise GraphError("negative probability entry")
         total = float(probs.sum())
@@ -116,6 +119,8 @@ class ConditionalTable:
             raise GraphError(
                 f"table for {self.child!r}: rank {entries.ndim} != {len(parent_names) + 1}"
             )
+        if not np.isfinite(entries).all():
+            raise GraphError(f"table for {self.child!r}: non-finite entry")
         if (entries < 0).any():
             raise GraphError(f"table for {self.child!r}: negative entry")
         sums = entries.sum(axis=-1)
@@ -510,6 +515,10 @@ def parse_distribution(text: str) -> JointTable:
                 variables.append((name, card))
             if not variables:
                 raise GraphError(f"line {lineno}: empty variable list")
+            size = math.prod(c for _, c in variables)
+            if size > MAX_TABLE_CELLS:
+                raise GraphError(
+                    f"line {lineno}: table of {size} cells exceeds the {MAX_TABLE_CELLS} cap")
             probs = np.zeros(tuple(c for _, c in variables))
             continue
         if len(tokens) != len(variables) + 1:
@@ -522,6 +531,8 @@ def parse_distribution(text: str) -> JointTable:
         for v, (name, card) in zip(values, variables):
             if not 0 <= v < card:
                 raise GraphError(f"line {lineno}: value {v} out of range for {name!r}")
+        if not math.isfinite(prob):
+            raise GraphError(f"line {lineno}: probability must be finite")
         if prob < 0:
             raise GraphError(f"line {lineno}: negative probability")
         if values in seen:

@@ -53,7 +53,7 @@ class Dag:
     __slots__ = (
         "_names", "_index", "_kinds", "_cards",
         "_parents", "_children", "_edges", "_topo",
-        "_anc_cache", "_desc_cache",
+        "_anc_cache", "_desc_cache", "_adjacency",
     )
 
     def __init__(
@@ -109,6 +109,7 @@ class Dag:
         self._topo = self._toposort()
         self._anc_cache: dict[str, frozenset[str]] = {}
         self._desc_cache: dict[str, frozenset[str]] = {}
+        self._adjacency: dict[str, tuple[tuple[str, bool], ...]] | None = None
 
     def _toposort(self) -> tuple[str, ...]:
         # Repeatedly emit the first declared node whose parents are all
@@ -246,6 +247,27 @@ class Dag:
             cached = frozenset(out)
             self._desc_cache[name] = cached
         return cached
+
+    def _undirected_adjacency(self) -> dict[str, tuple[tuple[str, bool], ...]]:
+        """Every node's neighbours in declaration order, each tagged True
+        for a child and False for a parent.
+
+        Package-internal: the separation sweep and path searches read it
+        once per query instead of validating each neighbour's name. Built
+        on first use and kept, so repeated queries on one graph share it;
+        callers must not mutate it.
+        """
+        if self._adjacency is None:
+            index = self._index
+            self._adjacency = {
+                v: tuple(sorted(
+                    [(c, True) for c in self._children[v]]
+                    + [(p, False) for p in self._parents[v]],
+                    key=lambda t: index[t[0]],
+                ))
+                for v in self._names
+            }
+        return self._adjacency
 
     def topological_order(self) -> list[str]:
         """Every edge tail precedes its head; ties broken by declaration."""

@@ -3,11 +3,17 @@
 Two per-path predicates are implemented: the classical blocking rule
 (chain/fork middles in Z block; colliders block unless activated by Z or
 a descendant in Z) and the typed setting/outcome rule whose three clauses
-only ever consult the *outcome* members of Z. The set-level classical
-decider runs as a reachability sweep over (node, travel-direction)
-states; exhaustive path enumeration is kept in-tree both as the oracle
-the sweep is tested against and as the witness finder when a query comes
-back "not separated".
+only ever consult the *outcome* members of Z. Both set-level deciders run
+on one reachability sweep over (node, travel-direction) states, linear in
+the size of the graph. The typed rule never blocks at a non-collider and
+its endpoint clauses do not depend on the path, so it is the same sweep
+with no blockers plus a check on each (x, y) pair. When a query comes
+back "not separated", a lazy depth-first search returns the first open
+path in enumeration order as the witness, and so checks the sweep's
+verdict; it drops a prefix at its first closed node or as soon as the
+sweep shows no open trail leading on from it. Exhaustive path
+enumeration and the per-path predicates are kept as the oracle both
+routes are tested against.
 
 All functions are pure over immutable graphs and safe to call
 concurrently.
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from .graph import CondQuery, Dag, GraphError, NodeKind
 
@@ -77,20 +84,15 @@ def enumerate_paths(g: Dag, u: str, v: str) -> list[UndirectedPath]:
     """All simple undirected paths from ``u`` to ``v``, in DFS order.
 
     Neighbour expansion follows node declaration order, so the output
-    order is a deterministic function of the graph.
+    order is a deterministic function of the graph. Exponential in the
+    worst case; the deciders never call it, the tests use it as the
+    oracle for their verdicts and witnesses.
     """
     g.index(u)
     g.index(v)
     if u == v:
         raise GraphError("path endpoints must differ")
-    adjacency = {
-        w: tuple(sorted(
-            [(c, True) for c in g.ordered_children(w)]
-            + [(p, False) for p in g.ordered_parents(w)],
-            key=lambda t: g.index(t[0]),
-        ))
-        for w in g.names
-    }
+    adjacency = g._undirected_adjacency()
     out: list[UndirectedPath] = []
     nodes: list[str] = [u]
     dirs: list[bool] = []
@@ -134,81 +136,116 @@ def path_d_blocked(g: Dag, p: UndirectedPath, z: frozenset[str] | set[str]) -> b
     return False
 
 
-def _nodes_with_descendant_in(g: Dag, z: frozenset[str]) -> set[str]:
-    # z itself plus every ancestor of a member of z
-    out = set(z)
-    stack = list(z)
-    while stack:
-        v = stack.pop()
-        for p in g.ordered_parents(v):
-            if p not in out:
-                out.add(p)
-                stack.append(p)
-    return out
+def _with_ancestors(g: Dag, nodes: frozenset[str]) -> frozenset[str]:
+    """``nodes`` plus all their ancestors: the nodes that are in ``nodes``
+    or have a descendant there."""
+    return nodes.union(*map(g.ancestors, nodes))
 
 
-def _d_connected_targets(g: Dag, xs: frozenset[str], z: frozenset[str]) -> set[str]:
-    """Nodes reachable from ``xs`` along trails left active by ``z``.
+def _states_reaching(g: Dag, y: str, blockers: frozenset[str],
+                     activators: frozenset[str]) -> set[tuple[str, bool]]:
+    """The (node, direction) states from which a trail open at every
+    interior node reaches ``y``. A non-collider is open unless it is in
+    ``blockers``; a collider is open only when it is in ``activators``.
 
-    Standard sweep over (node, direction) states: "up" means the node was
-    entered against an edge (from a child) or is a start node, "down"
-    means it was entered along an edge (from a parent). A collider state
-    (v, down) may bounce back to parents only when v is in z or has a
-    descendant in z.
+    State (v, True) means the trail entered v against an edge (from a
+    child) or starts at v; (v, False) means it entered v along an edge
+    (from a parent). The sweep runs the transitions of the (node,
+    direction) reachability algorithm backwards from ``y`` and expands each
+    state at most once, so its cost is linear in the size of the graph.
+    When ``activators`` is closed under ancestors, as it is for both
+    criteria below, an open trail exists iff an open simple path does.
     """
-    anc_z = _nodes_with_descendant_in(g, z)
-    reachable: set[str] = set()
-    seen: set[tuple[str, bool]] = set()
-    agenda: list[tuple[str, bool]] = [(x, True) for x in xs]  # True = "up"
-    parents = g.ordered_parents
-    children = g.ordered_children
+    adjacency = g._undirected_adjacency()
+    found = {(y, True), (y, False)}
+    agenda = list(found)
     while agenda:
-        state = agenda.pop()
-        if state in seen:
-            continue
-        seen.add(state)
-        v, up = state
-        in_z = v in z
-        if not in_z:
-            reachable.add(v)
-        if up:
-            if not in_z:
-                for p in parents(v):
-                    agenda.append((p, True))
-                for c in children(v):
-                    agenda.append((c, False))
+        w, up = agenda.pop()
+        for v, is_child in adjacency[w]:
+            # a trail enters w "up" from a child and "down" from a parent;
+            # it passes v whichever way it entered v, or bounces up at an
+            # activated collider v
+            if is_child != up:
+                continue
+            passes = v not in blockers
+            if passes and (v, True) not in found:
+                found.add((v, True))
+                agenda.append((v, True))
+            if (v in activators if up else passes) and (v, False) not in found:
+                found.add((v, False))
+                agenda.append((v, False))
+    return found
+
+
+def _open_paths(g: Dag, x: str, y: str, blockers: frozenset[str],
+                activators: frozenset[str],
+                live: set[tuple[str, bool]]) -> Iterator[UndirectedPath]:
+    """Yield the simple x-y paths open at every interior node, under the
+    rule of ``_states_reaching``, lazily and in ``enumerate_paths`` order.
+
+    An interior node's status depends only on its two path edges, so a
+    prefix is dropped as soon as its last interior node closes: every
+    path below it contains the same closed node. A prefix is also dropped
+    when it enters a state outside ``live``, the result of
+    ``_states_reaching`` for ``y``, since no open trail leads on from there.
+    """
+    adjacency = g._undirected_adjacency()
+    nodes: list[str] = [x]
+    dirs: list[bool] = []
+    on_path = {x}
+    frontier = [iter(adjacency[x])]
+    while frontier:
+        for nxt, fwd in frontier[-1]:
+            if nxt in on_path:
+                continue
+            if dirs:
+                cur = nodes[-1]
+                if dirs[-1] and not fwd:
+                    if cur not in activators:
+                        continue
+                elif cur in blockers:
+                    continue
+            if nxt == y:
+                yield UndirectedPath((*nodes, nxt), (*dirs, fwd))
+                continue
+            if (nxt, not fwd) not in live:
+                continue
+            nodes.append(nxt)
+            dirs.append(fwd)
+            on_path.add(nxt)
+            frontier.append(iter(adjacency[nxt]))
+            break
         else:
-            if not in_z:
-                for c in children(v):
-                    agenda.append((c, False))
-            if v in anc_z:
-                for p in parents(v):
-                    agenda.append((p, True))
-    return reachable
+            frontier.pop()
+            if dirs:
+                on_path.discard(nodes.pop())
+                dirs.pop()
 
 
-def _find_witness(g, q, blocked) -> UndirectedPath:
-    order = g.index
-    for x in sorted(q.x, key=order):
-        for y in sorted(q.y, key=order):
-            for p in enumerate_paths(g, x, y):
-                if not blocked(p):
-                    return p
-    raise AssertionError("reachability sweep and path oracle disagree")
+def _decide(g: Dag, q: CondQuery, blockers: frozenset[str], activators: frozenset[str],
+            endpoints_open: Callable[[str, str], bool]) -> SeparationVerdict:
+    # One sweep per y decides every pair ending at y. Pairs are tried in
+    # declaration order; the first connected one gets the first open path
+    # of enumeration order as witness, and that search checks the sweep.
+    live = {y: _states_reaching(g, y, blockers, activators) for y in q.y}
+    for x in sorted(q.x, key=g.index):
+        for y in sorted(q.y, key=g.index):
+            if (x, True) in live[y] and endpoints_open(x, y):
+                for path in _open_paths(g, x, y, blockers, activators, live[y]):
+                    return SeparationVerdict(False, path)
+                raise AssertionError("reachability sweep and path search disagree")
+    return SeparationVerdict(True)
 
 
 def d_separated(g: Dag, q: CondQuery) -> SeparationVerdict:
     """Decide whether Z blocks every path between X and Y.
 
-    The verdict comes from the reachability sweep; when the sets are
-    connected, the witness is the first active path in enumeration order
-    (and its existence cross-checks the sweep on every negative answer).
+    Non-colliders in Z block; a collider is open iff it or one of its
+    descendants is in Z. When the sets are connected, the witness is the
+    first active path in enumeration order.
     """
     q.validate(g.names)
-    if _d_connected_targets(g, q.x, q.z) & q.y:
-        witness = _find_witness(g, q, lambda p: path_d_blocked(g, p, q.z))
-        return SeparationVerdict(False, witness)
-    return SeparationVerdict(True)
+    return _decide(g, q, q.z, _with_ancestors(g, q.z), lambda x, y: True)
 
 
 def path_q_inactive(g: Dag, p: UndirectedPath, z: frozenset[str] | set[str]) -> bool:
@@ -256,20 +293,23 @@ def q_separated(g: Dag, q: CondQuery) -> SeparationVerdict:
     for name in sorted(q.x | q.y, key=g.index):
         if g.kind(name) is NodeKind.LATENT:
             raise GraphError(f"latent node {name!r} not allowed in a q-separation query")
-    active: UndirectedPath | None = None
-    for x in sorted(q.x, key=g.index):
-        for y in sorted(q.y, key=g.index):
-            for p in enumerate_paths(g, x, y):
-                if not path_q_inactive(g, p, q.z):
-                    active = p
-                    break
-            if active:
-                break
-        if active:
-            break
-    if active is not None:
-        return SeparationVerdict(False, active)
-    return SeparationVerdict(True)
+    z_outcomes = frozenset(m for m in q.z if g.kind(m) is NodeKind.OUTCOME)
+    # A node outside Z reaches an outcome in Z iff it lies in this set;
+    # colliders are open only inside it and nothing else ever blocks.
+    reaches = _with_ancestors(g, z_outcomes)
+
+    def endpoints_open(x: str, y: str) -> bool:
+        # clauses (i) and (ii) depend on the endpoints alone
+        kx, ky = g.kind(x), g.kind(y)
+        if kx is NodeKind.SETTING and ky is NodeKind.SETTING:
+            return x in reaches and y in reaches
+        if kx is NodeKind.SETTING:
+            return y in g.descendants(x) or x in reaches
+        if ky is NodeKind.SETTING:
+            return x in g.descendants(y) or y in reaches
+        return True
+
+    return _decide(g, q, frozenset(), reaches, endpoints_open)
 
 
 MAX_COMPARE_NODES = 12

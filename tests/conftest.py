@@ -34,6 +34,18 @@ def all_dags(n: int, card: int = 2, kind: str = "outcome"):
             yield Dag(nodes, edges)
 
 
+def all_typed_dags(n: int):
+    """Yield every DAG on n nodes under every assignment of kinds that
+    keeps latent nodes at roots; binary cardinalities throughout."""
+    for g in all_dags(n):
+        choices = [
+            ("setting", "outcome") if g.parents(v) else ("setting", "outcome", "latent")
+            for v in g.names
+        ]
+        for kinds in itertools.product(*choices):
+            yield Dag([(v, k, 2) for v, k in zip(g.names, kinds)], g.edges)
+
+
 def _acyclic(n: int, pairs, states) -> bool:
     children = [[] for _ in range(n)]
     indeg = [0] * n

@@ -69,6 +69,11 @@ def test_behavior_validation():
         Behavior(table)
     with pytest.raises(GraphError, match="shape"):
         Behavior(np.full((2, 2, 2), 0.25))
+    for bad in (np.nan, np.inf):
+        table = np.full((2, 2, 2, 2), 0.25)
+        table[0, 0, 0, 0] = bad
+        with pytest.raises(GraphError, match="non-finite"):
+            Behavior(table)
 
 
 def test_lhv_model_validation():
@@ -77,6 +82,12 @@ def test_lhv_model_validation():
         LhvModel(np.array([0.6, 0.6]), ra, ra)
     with pytest.raises(GraphError, match="slice"):
         LhvModel(np.array([0.5, 0.5]), np.full((2, 2, 2), 0.4), ra)
+    with pytest.raises(GraphError, match="probability vector"):
+        LhvModel(np.array([np.nan, 0.5]), ra, ra)
+    bad = ra.copy()
+    bad[0, 0, 0] = np.nan
+    with pytest.raises(GraphError, match="non-finite"):
+        LhvModel(np.array([0.5, 0.5]), ra, bad)
 
 
 def test_deterministic_model_copies_settings():
@@ -346,6 +357,7 @@ def test_behavior_file_has_sixteen_rows():
     (lambda rows: rows + [rows[-1]], "duplicate"),
     (lambda rows: ["2 0 0 0 0.5"] + rows[1:], "0 or 1"),
     (lambda rows: ["0 0 0 0"] + rows[1:], "expected"),
+    (lambda rows: ["0 0 0 0 nan"] + rows[1:], "finite"),
 ])
 def test_behavior_parse_errors(mutate, fragment):
     rows = format_behavior(pr_box()).splitlines()

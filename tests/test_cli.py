@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from causalbell import bell, distributions
+from causalbell import bell, distributions, separation
 from causalbell.cli import run
 from causalbell.graph import CondQuery, parse_dag
 from causalbell.separation import d_separated, q_separated
@@ -228,6 +228,38 @@ def test_bad_tolerance_rejected_before_reading_files(tmp_path, capsys):
     missing = tmp_path / "nope.behavior"
     assert run(["bell-member", str(missing), "--eps", "-1"]) == 2
     assert "tolerance" in capsys.readouterr().err
+
+
+def test_non_finite_and_oversized_inputs_exit_two(tmp_path, singlet_file, capsys):
+    nan_dist = tmp_path / "nan.txt"
+    nan_dist.write_text("vars P:2 Q:2\n0 0 nan\n1 1 0.5\n")
+    huge = tmp_path / "huge.txt"
+    huge.write_text("vars A:100000 B:100000 C:1000\n")
+    out = tmp_path / "s.behavior"
+    for argv, fragment in (
+        (["graphoid", str(nan_dist), "--trials", "5", "--seed", "1"], "finite"),
+        (["graphoid", str(huge), "--trials", "5", "--seed", "1"], "cap"),
+        (["bell-member", singlet_file, "--eps", "nan"], "tolerance"),
+        (["bell-member", singlet_file, "--eps", "inf"], "tolerance"),
+        (["gen", "singlet", "--angles", "nan,0,0,0", "--out", str(out)], "finite"),
+        (["gen", "singlet", "--angles", "0,inf,0,0", "--out", str(out)], "finite"),
+    ):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert fragment in captured.err and not captured.out, argv
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fault", [MemoryError(), AssertionError("sweep and search disagree")])
+def test_unexpected_exception_is_an_internal_error(bell_dag_file, monkeypatch, capsys, fault):
+    def boom(g, q):
+        raise fault
+
+    monkeypatch.setattr(separation, "d_separated", boom)
+    assert run(["dsep", bell_dag_file, "--x", "X", "--y", "Y"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and "Traceback" not in err
+    assert (str(fault) or "MemoryError") in err
 
 
 def test_bad_variant_rejected(singlet_file, capsys):

@@ -61,6 +61,9 @@ def test_joint_table_validation():
         JointTable((("P", 2), ("P", 2)), np.full((2, 2), 0.25))
     with pytest.raises(GraphError, match="cap"):
         JointTable(tuple((f"V{i}", 2) for i in range(21)), np.zeros((2,) * 21))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(GraphError, match="non-finite"):
+            JointTable((("P", 2),), np.array([bad, 0.5]))
 
 
 def test_tables_are_write_locked():
@@ -79,6 +82,8 @@ def test_conditional_table_validation():
         ConditionalTable("P", ("Q",), np.array([0.5, 0.5]))
     with pytest.raises(GraphError, match="parent"):
         ConditionalTable("P", ("P",), np.full((2, 2), 0.5))
+    with pytest.raises(GraphError, match="non-finite"):
+        ConditionalTable("P", (), np.array([np.nan, 0.5]))
 
 
 def test_marginal_orders_axes():
@@ -525,6 +530,9 @@ def test_distribution_zeros_are_omitted_and_restored():
     ("vars P:2\n0 -0.1\n1 1.1", "negative"),
     ("vars P:zz\n", "cardinality"),
     ("vars P:2\n0 0.5 9", "expected 1 values"),
+    ("vars P:2 Q:2\n0 0 nan\n1 1 0.5", "line 2: probability must be finite"),
+    ("vars P:2\n0 inf\n1 0", "finite"),
+    ("vars A:100000 B:100000 C:1000\n0 0 0 1", "line 1: table of 10000000000000 cells"),
 ])
 def test_distribution_parse_errors(text, fragment):
     with pytest.raises(GraphError, match=fragment):

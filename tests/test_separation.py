@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from causalbell.bell import bell_dag
-from causalbell.graph import CondQuery, Dag, GraphError
+from causalbell.graph import CondQuery, Dag, GraphError, NodeKind
 from causalbell.separation import (
     UndirectedPath,
     compare_criteria,
@@ -14,7 +14,7 @@ from causalbell.separation import (
     path_q_inactive,
     q_separated,
 )
-from conftest import all_dags, random_typed_dag, subsets
+from conftest import all_dags, all_typed_dags, random_typed_dag, subsets
 
 
 @pytest.fixture
@@ -262,6 +262,88 @@ def test_all_outcome_graphs_agreement():
                         assert d == q
                     elif q:
                         assert d
+
+
+# --- witnesses against the path oracle ---------------------------------------------
+
+def _disjoint_queries(names) -> list[CondQuery]:
+    """Every (X, Y, Z) over ``names`` with X and Y nonempty and the sets disjoint."""
+    out = []
+    for roles in itertools.product(range(4), repeat=len(names)):
+        x, y, z = (frozenset(v for v, r in zip(names, roles) if r == k) for k in (1, 2, 3))
+        if x and y:
+            out.append(CondQuery(x, y, z))
+    return out
+
+
+def _assert_matches_oracle(g: Dag, decide, blocked, queries) -> int:
+    """The decider's witness must be the first path of enumeration order,
+    over (x, y) pairs in declaration order, that ``blocked`` leaves open,
+    and "separated" must mean there is none. Returns the query count."""
+    memo = {}  # (x, y, Z) -> first open path; the query sets revisit each often
+
+    def first_open(x, y, z):
+        if (x, y, z) not in memo:
+            memo[x, y, z] = next(
+                (p for p in enumerate_paths(g, x, y) if not blocked(g, p, z)), None)
+        return memo[x, y, z]
+
+    checked = 0
+    for q in queries:
+        pairs = itertools.product(sorted(q.x, key=g.index), sorted(q.y, key=g.index))
+        expected = next((p for p in (first_open(x, y, q.z) for x, y in pairs) if p), None)
+        verdict = decide(g, q)
+        assert verdict.separated == (expected is None), (g.to_text(), q)
+        assert verdict.witness == expected, (g.to_text(), q, str(verdict.witness))
+        checked += 1
+    return checked
+
+
+def test_dsep_witness_matches_path_oracle_exhaustively_n4():
+    checked = 0
+    for n in range(2, 5):
+        queries = _disjoint_queries([f"N{i}" for i in range(n)])  # all_dags' names
+        for g in all_dags(n):
+            checked += _assert_matches_oracle(g, d_separated, path_d_blocked, queries)
+    assert checked > 50_000
+
+
+def test_qsep_matches_path_oracle_exhaustively_typed_n4():
+    """Every typed DAG with at most four nodes, every disjoint (X, Y, Z)
+    whose X and Y avoid latent nodes."""
+    checked = 0
+    for n in range(2, 5):
+        all_queries = _disjoint_queries([f"N{i}" for i in range(n)])
+        for g in all_typed_dags(n):
+            observed = {v for v in g.names if g.kind(v) is not NodeKind.LATENT}
+            queries = (q for q in all_queries if q.x | q.y <= observed)
+            checked += _assert_matches_oracle(g, q_separated, path_q_inactive, queries)
+    assert checked > 1_000_000
+
+
+def test_dsep_matches_networkx_on_larger_graphs():
+    """A third route beyond the sizes path enumeration can reach."""
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(41)
+    connected = 0
+    for _ in range(300):
+        n = int(rng.integers(10, 41))
+        g = random_typed_dag(rng, n_nodes=n, edge_prob=float(rng.uniform(0.03, 0.3)))
+        ng = nx.DiGraph(g.edges)
+        ng.add_nodes_from(g.names)
+        names = list(g.names)
+        rng.shuffle(names)
+        kx, ky, kz = (int(k) for k in rng.integers((1, 1, 0), (4, 4, 10)))
+        x, y = set(names[:kx]), set(names[kx:kx + ky])
+        z = set(names[kx + ky:kx + ky + kz])
+        verdict = d_separated(g, CondQuery(x, y, z))
+        assert verdict.separated == nx.is_d_separator(ng, x, y, z), (g.to_text(), x, y, z)
+        if not verdict.separated:
+            connected += 1
+            w = verdict.witness
+            assert w.nodes[0] in x and w.nodes[-1] in y
+            assert not path_d_blocked(g, w, z)  # also checks every step is an edge
+    assert 50 < connected < 250
 
 
 # --- criteria comparison -----------------------------------------------------------
