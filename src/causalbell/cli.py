@@ -12,13 +12,16 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from . import bell, distributions, separation
-from .graph import CondQuery, Dag, GraphError, parse_dag
+from .graph import CondQuery, GraphError, parse_dag
 
 PASS = 0
 FAIL = 1
 USAGE = 2
+
+_T = TypeVar("_T")
 
 
 def _node_list(raw: str) -> list[str]:
@@ -135,30 +138,12 @@ def _parse_angles(raw: str) -> tuple[float, float, float, float]:
     return a, b, c, d
 
 
-def _read(path: str) -> str:
+def _load(parse: Callable[[str], _T], path: str) -> _T:
+    """``parse`` applied to the file's text; errors name the path."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return parse(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise GraphError(f"cannot read {path}: {exc.strerror or exc}") from None
-
-
-def _load_dag(path: str) -> Dag:
-    try:
-        return parse_dag(_read(path))
-    except GraphError as exc:
-        raise GraphError(f"{path}: {exc}") from None
-
-
-def _load_dist(path: str) -> distributions.JointTable:
-    try:
-        return distributions.parse_distribution(_read(path))
-    except GraphError as exc:
-        raise GraphError(f"{path}: {exc}") from None
-
-
-def _load_behavior(path: str) -> bell.Behavior:
-    try:
-        return bell.parse_behavior(_read(path))
     except GraphError as exc:
         raise GraphError(f"{path}: {exc}") from None
 
@@ -181,7 +166,7 @@ def _single_node(raw: str, flag: str) -> str:
 
 
 def _cmd_separation(args: argparse.Namespace) -> int:
-    g = _load_dag(args.dag)
+    g = _load(parse_dag, args.dag)
     query = CondQuery(_node_list(args.x), _node_list(args.y), _node_list(args.z))
     decide = separation.d_separated if args.verb == "dsep" else separation.q_separated
     verdict = decide(g, query)
@@ -194,15 +179,15 @@ def _cmd_separation(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    g = _load_dag(args.dag)
+    g = _load(parse_dag, args.dag)
     report = separation.compare_criteria(g)
     sys.stdout.write(report.to_csv() if args.csv else report.to_text())
     return PASS if not report.disagreements else FAIL
 
 
 def _cmd_dist_audit(args: argparse.Namespace) -> int:
-    g = _load_dag(args.dag)
-    p = _load_dist(args.dist)
+    g = _load(parse_dag, args.dag)
+    p = _load(distributions.parse_distribution, args.dist)
     fn = {
         "compat": distributions.compatible,
         "markov": distributions.causal_markov_check,
@@ -214,8 +199,8 @@ def _cmd_dist_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_rpcc(args: argparse.Namespace) -> int:
-    g = _load_dag(args.dag)
-    p = _load_dist(args.dist)
+    g = _load(parse_dag, args.dag)
+    p = _load(distributions.parse_distribution, args.dist)
     report = distributions.reichenbach_check(
         p, g, _single_node(args.x, "--x"), _single_node(args.y, "--y"), args.eps
     )
@@ -224,14 +209,14 @@ def _cmd_rpcc(args: argparse.Namespace) -> int:
 
 
 def _cmd_graphoid(args: argparse.Namespace) -> int:
-    p = _load_dist(args.dist)
+    p = _load(distributions.parse_distribution, args.dist)
     report = distributions.graphoid_audit(p, args.eps, args.trials, args.seed)
     sys.stdout.write(report.to_text())
     return PASS if report.passed else FAIL
 
 
 def _cmd_bell_chsh(args: argparse.Namespace) -> int:
-    b = _load_behavior(args.behavior)
+    b = _load(bell.parse_behavior, args.behavior)
     variants = range(8) if args.variant is None else [args.variant]
     worst = -math.inf
     for v in variants:
@@ -242,21 +227,21 @@ def _cmd_bell_chsh(args: argparse.Namespace) -> int:
 
 
 def _cmd_bell_member(args: argparse.Namespace) -> int:
-    b = _load_behavior(args.behavior)
+    b = _load(bell.parse_behavior, args.behavior)
     verdict = bell.lhv_membership(b, args.eps)
     sys.stdout.write(verdict.to_text())
     return PASS if verdict.local else FAIL
 
 
 def _cmd_bell_nosig(args: argparse.Namespace) -> int:
-    b = _load_behavior(args.behavior)
+    b = _load(bell.parse_behavior, args.behavior)
     report = bell.no_signalling_check(b, args.eps)
     sys.stdout.write(report.to_text())
     return PASS if report.passed else FAIL
 
 
 def _cmd_bell_qcc(args: argparse.Namespace) -> int:
-    b = _load_behavior(args.behavior)
+    b = _load(bell.parse_behavior, args.behavior)
     report = bell.quantum_causality_audit(b, args.eps)
     sys.stdout.write(report.to_text())
     return PASS if report.passed else FAIL
@@ -274,7 +259,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         model = bell.random_lhv(args.seed, args.lambda_card)
         text = bell.format_behavior(bell.behavior_from_lhv(model))
     else:  # random-compatible
-        g = _load_dag(args.dag)
+        g = _load(parse_dag, args.dag)
         text = distributions.format_distribution(distributions.random_compatible(g, args.seed))
     _emit(text, args.out)
     return PASS

@@ -20,17 +20,40 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import CondQuery, Dag, GraphError
+from .graph import CondQuery, Dag, GraphError, _directive_lines
 from .report import Assignment, AuditReport, CheckResult
 
 MAX_TABLE_CELLS = 1 << 20
-_SUM_TOL = 1e-12
 
 
-def _lock(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    arr.setflags(write=False)
-    return arr
+def _stochastic(arr: np.ndarray, what: str, shape: tuple[int, ...] | None = None,
+                axes: int | tuple[int, ...] | None = None, tol: float = 1e-12) -> np.ndarray:
+    """A read-only float64 copy of ``arr`` once it is a stochastic array.
+
+    Entries must be finite and non-negative, and every slice over ``axes``
+    (the whole array when None) must sum to 1 within ``tol``. Copying keeps
+    later writes to the caller's array, or to one it views, out of the result.
+    """
+    out = np.array(arr, dtype=np.float64, order="C")
+    if shape is not None and out.shape != shape:
+        raise GraphError(f"{what}: expected shape {shape}, got {out.shape}")
+    if not np.isfinite(out).all():
+        raise GraphError(f"{what}: non-finite entry")
+    if (out < 0).any():
+        raise GraphError(f"{what}: negative entry")
+    sums = np.ravel(out.sum(axis=axes))
+    off = np.abs(sums - 1.0)
+    if off.max(initial=0.0) > tol:
+        which = "entries sum" if axes is None else "a slice sums"
+        worst = float(sums[off.argmax()])
+        raise GraphError(f"{what}: {which} outside 1 +/- {tol:g} (to {worst!r})")
+    out.setflags(write=False)
+    return out
+
+
+def _check_eps(eps: float) -> None:
+    if not 0 < eps < math.inf:
+        raise GraphError(f"eps must be positive and finite, got {eps!r}")
 
 
 @dataclass(frozen=True)
@@ -38,7 +61,8 @@ class JointTable:
     """Dense joint distribution over an ordered list of (name, cardinality).
 
     Entries must be finite, non-negative and sum to 1 within 1e-12; the
-    array shape must equal the tuple of cardinalities.
+    array shape must equal the tuple of cardinalities. The table keeps a
+    read-only copy of the array.
     """
 
     variables: tuple[tuple[str, int], ...]
@@ -55,18 +79,9 @@ class JointTable:
         size = int(np.prod(shape, dtype=np.int64)) if shape else 1
         if size > MAX_TABLE_CELLS:
             raise GraphError(f"table of {size} cells exceeds the {MAX_TABLE_CELLS} cap")
-        probs = np.asarray(self.probabilities, dtype=np.float64)
-        if probs.shape != shape:
-            raise GraphError(f"probability array shape {probs.shape} != {shape}")
-        if not np.isfinite(probs).all():
-            raise GraphError("non-finite probability entry")
-        if (probs < 0).any():
-            raise GraphError("negative probability entry")
-        total = float(probs.sum())
-        if abs(total - 1.0) > _SUM_TOL:
-            raise GraphError(f"probabilities sum to {total!r}, not 1")
+        probs = _stochastic(self.probabilities, "probabilities", shape)
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "probabilities", _lock(probs))
+        object.__setattr__(self, "probabilities", probs)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -114,20 +129,12 @@ class ConditionalTable:
         parent_names = tuple(self.parent_names)
         if len(set(parent_names)) != len(parent_names) or self.child in parent_names:
             raise GraphError(f"invalid parent list for {self.child!r}")
-        entries = np.asarray(self.entries, dtype=np.float64)
-        if entries.ndim != len(parent_names) + 1:
-            raise GraphError(
-                f"table for {self.child!r}: rank {entries.ndim} != {len(parent_names) + 1}"
-            )
-        if not np.isfinite(entries).all():
-            raise GraphError(f"table for {self.child!r}: non-finite entry")
-        if (entries < 0).any():
-            raise GraphError(f"table for {self.child!r}: negative entry")
-        sums = entries.sum(axis=-1)
-        if np.abs(sums - 1.0).max(initial=0.0) > _SUM_TOL:
-            raise GraphError(f"table for {self.child!r}: a conditional slice does not sum to 1")
+        rank = np.ndim(self.entries)
+        if rank != len(parent_names) + 1:
+            raise GraphError(f"table for {self.child!r}: rank {rank} != {len(parent_names) + 1}")
+        entries = _stochastic(self.entries, f"table for {self.child!r}", axes=-1)
         object.__setattr__(self, "parent_names", parent_names)
-        object.__setattr__(self, "entries", _lock(entries))
+        object.__setattr__(self, "entries", entries)
 
     @property
     def child_card(self) -> int:
@@ -223,8 +230,7 @@ def _ordered(p: JointTable, names: Iterable[str]) -> tuple[str, ...]:
 
 def ci_holds(p: JointTable, q: CondQuery, eps: float = 1e-9) -> CiReport:
     """Test (X independent of Y given Z) in the division-free product form."""
-    if eps <= 0:
-        raise GraphError("eps must be positive")
+    _check_eps(eps)
     q.validate(p.names)
     xs, ys, zs = _ordered(p, q.x), _ordered(p, q.y), _ordered(p, q.z)
     m = p.marginal(list(xs + ys + zs))
@@ -273,6 +279,7 @@ def _fmt_set(names: Iterable[str], g: Dag) -> str:
 
 def _screening_audit(p: JointTable, g: Dag, eps: float, title: str,
                      conditioning: str) -> AuditReport:
+    _check_eps(eps)
     _check_same_variables(p, g)
     checks: list[CheckResult] = []
     for v in g.names:
@@ -338,6 +345,7 @@ def reichenbach_check(p: JointTable, g: Dag, x: str, y: str,
     (the intersection of the two ancestor sets), a direct cause/effect
     relation, or a violation of common-cause screening.
     """
+    _check_eps(eps)
     _check_same_variables(p, g)
     if x == y:
         raise GraphError("x and y must differ")
@@ -381,8 +389,7 @@ def graphoid_audit(p: JointTable, eps: float = 1e-9, trials: int = 1000,
     """
     if trials <= 0:
         raise GraphError("trials must be positive")
-    if eps <= 0:
-        raise GraphError("eps must be positive")
+    _check_eps(eps)
     if len(p.names) < 2:
         raise GraphError("need at least two variables")
     rng = np.random.default_rng(seed)
@@ -493,11 +500,7 @@ def parse_distribution(text: str) -> JointTable:
     variables: list[tuple[str, int]] | None = None
     probs: np.ndarray | None = None
     seen: set[tuple[int, ...]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in _directive_lines(text):
         if variables is None:
             if tokens[0] != "vars":
                 raise GraphError(f"line {lineno}: expected 'vars' header")
@@ -541,7 +544,5 @@ def parse_distribution(text: str) -> JointTable:
         probs[values] = prob
     if variables is None or probs is None:
         raise GraphError("missing 'vars' header")
-    total = float(probs.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise GraphError(f"probabilities sum to {total!r}, outside 1 +/- 1e-9")
-    return JointTable(tuple(variables), probs / total)
+    probs /= _stochastic(probs, "distribution", tol=1e-9).sum()
+    return JointTable(tuple(variables), probs)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
@@ -74,7 +74,8 @@ class Dag:
             except ValueError:
                 raise GraphError(f"node {name!r}: unknown kind {kind!r}") from None
             if not isinstance(card, int) or isinstance(card, bool) or card < 1:
-                raise GraphError(f"node {name!r}: cardinality must be a positive integer")
+                raise GraphError(
+                    f"node {name!r}: cardinality must be positive and integral, got {card!r}")
             names.append(name)
             kinds[name] = kind
             cards[name] = card
@@ -218,34 +219,26 @@ class Dag:
 
     def ancestors(self, name: str) -> frozenset[str]:
         """Transitive closure of parents; does not include the node itself."""
-        self.index(name)
-        cached = self._anc_cache.get(name)
-        if cached is None:
-            out: set[str] = set()
-            stack = list(self._parents[name])
-            while stack:
-                v = stack.pop()
-                if v not in out:
-                    out.add(v)
-                    stack.extend(self._parents[v])
-            cached = frozenset(out)
-            self._anc_cache[name] = cached
-        return cached
+        return self._closure(name, self._parents, self._anc_cache)
 
     def descendants(self, name: str) -> frozenset[str]:
         """All nodes that have ``name`` as an ancestor."""
+        return self._closure(name, self._children, self._desc_cache)
+
+    def _closure(self, name: str, step: dict[str, tuple[str, ...]],
+                 cache: dict[str, frozenset[str]]) -> frozenset[str]:
+        # Nodes reachable from ``name`` by repeated ``step``, cached per node.
         self.index(name)
-        cached = self._desc_cache.get(name)
+        cached = cache.get(name)
         if cached is None:
             out: set[str] = set()
-            stack = list(self._children[name])
+            stack = list(step[name])
             while stack:
                 v = stack.pop()
                 if v not in out:
                     out.add(v)
-                    stack.extend(self._children[v])
-            cached = frozenset(out)
-            self._desc_cache[name] = cached
+                    stack.extend(step[v])
+            cached = cache[name] = frozenset(out)
         return cached
 
     def _undirected_adjacency(self) -> dict[str, tuple[tuple[str, bool], ...]]:
@@ -285,6 +278,15 @@ class Dag:
 _KIND_WORDS = {k.value for k in NodeKind}
 
 
+def _directive_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) for each line of ``text`` that holds more than
+    blanks and a ``#`` comment; numbering starts at 1."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens
+
+
 def parse_dag(text: str) -> Dag:
     """Parse the line-oriented DAG file format.
 
@@ -294,58 +296,51 @@ def parse_dag(text: str) -> Dag:
         edge <name> -> <name>
 
     Endpoints must be declared before the edge that uses them. Parsing a
-    serialized graph reproduces the structure exactly.
+    serialized graph reproduces the structure exactly. The parser checks
+    only the file syntax; ``Dag`` checks the structure, and any error it
+    raises other than a cycle is tagged with the line of the node or edge
+    it was reading. ``Dag`` reads every node before any edge, so a node
+    fault is reported before an edge fault on an earlier line.
     """
-    nodes: list[tuple[str, NodeKind, int]] = []
-    declared: dict[str, NodeKind] = {}
-    edges: list[tuple[str, str]] = []
-    edge_set: set[tuple[str, str]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    nodes: list[tuple[int, tuple[str, str, int]]] = []
+    edges: list[tuple[int, tuple[str, str]]] = []
+    declared: set[str] = set()
+    for lineno, tokens in _directive_lines(text):
         if tokens[0] == "node":
-            if len(tokens) == 4:
-                name, kind_word, card_word = tokens[1], tokens[2], tokens[3]
-                if kind_word not in _KIND_WORDS:
-                    raise DagParseError(lineno, f"unknown node kind {kind_word!r}")
-                kind = NodeKind(kind_word)
-            elif len(tokens) == 3:
-                name, card_word = tokens[1], tokens[2]
-                kind = NodeKind.OUTCOME
-            else:
+            if len(tokens) not in (3, 4):
                 raise DagParseError(lineno, "expected 'node <name> [<kind>] <cardinality>'")
-            if not name.isidentifier():
-                raise DagParseError(lineno, f"node name {name!r} is not an identifier")
-            if name in declared:
-                raise DagParseError(lineno, f"duplicate node {name!r}")
+            kind_word = tokens[2] if len(tokens) == 4 else "outcome"
+            if kind_word not in _KIND_WORDS:
+                raise DagParseError(lineno, f"unknown node kind {kind_word!r}")
             try:
-                card = int(card_word)
+                card = int(tokens[-1])
             except ValueError:
-                raise DagParseError(lineno, f"expected cardinality, got {card_word!r}") from None
-            if card < 1:
-                raise DagParseError(lineno, f"cardinality must be positive, got {card}")
-            declared[name] = kind
-            nodes.append((name, kind, card))
+                raise DagParseError(lineno, f"expected cardinality, got {tokens[-1]!r}") from None
+            declared.add(tokens[1])
+            nodes.append((lineno, (tokens[1], kind_word, card)))
         elif tokens[0] == "edge":
             if len(tokens) != 4 or tokens[2] != "->":
                 raise DagParseError(lineno, "expected 'edge <name> -> <name>'")
-            tail, head = tokens[1], tokens[3]
-            for endpoint in (tail, head):
+            for endpoint in (tokens[1], tokens[3]):
                 if endpoint not in declared:
                     raise DagParseError(lineno, f"unknown edge endpoint {endpoint!r}")
-            if tail == head:
-                raise DagParseError(lineno, f"self-loop on {tail!r}")
-            if (tail, head) in edge_set:
-                raise DagParseError(lineno, f"duplicate edge {tail} -> {head}")
-            if declared[head] is NodeKind.LATENT:
-                raise DagParseError(lineno, f"latent node {head!r} cannot have an incoming edge")
-            edge_set.add((tail, head))
-            edges.append((tail, head))
+            edges.append((lineno, (tokens[1], tokens[3])))
         else:
             raise DagParseError(lineno, f"unknown directive {tokens[0]!r}")
-    return Dag(nodes, edges)
+
+    line = 0
+
+    def consume(items):  # yields each item, recording the line it came from
+        nonlocal line
+        for line, item in items:
+            yield item
+
+    try:
+        return Dag(consume(nodes), consume(edges))
+    except CycleError:
+        raise
+    except GraphError as exc:
+        raise DagParseError(line, str(exc)) from None
 
 
 @dataclass(frozen=True)

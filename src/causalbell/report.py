@@ -14,6 +14,13 @@ from typing import Any, Mapping
 Assignment = tuple[tuple[str, int], ...]
 
 
+def _align_columns(rows: list[tuple[str, ...]]) -> list[str]:
+    """Rows as lines, each cell padded to its column's width, two spaces
+    between columns, trailing blanks stripped."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in rows]
+
+
 def format_assignment(witness: Assignment | None) -> str:
     if not witness:
         return ""
@@ -53,10 +60,7 @@ class AuditReport:
                 f"{c.violation:.9f}",
                 format_assignment(c.witness),
             ))
-        widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-        lines = [f"{self.title}"]
-        for r in rows:
-            lines.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
+        lines = [self.title, *_align_columns(rows)]
         details = [c for c in self.checks if c.detail]
         for c in details:
             items = " ".join(f"{k}={v}" for k, v in c.detail.items())

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .graph import CondQuery, Dag, GraphError, NodeKind
+from .report import _align_columns
 
 
 @dataclass(frozen=True)
@@ -345,9 +346,7 @@ class CompareReport:
                 "yes" if r.q_sep else "no",
                 "DISAGREE" if r.disagree else "",
             ))
-        widths = [max(len(row[i]) for row in table) for i in range(6)]
-        lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
-        return "\n".join(lines) + "\n"
+        return "\n".join(_align_columns(table)) + "\n"
 
     def to_csv(self) -> str:
         lines = ["X,Y,Z,d_sep,q_sep,disagree"]

@@ -236,6 +236,9 @@ def test_signalling_table_fails_with_unit_deviation():
 def test_no_signalling_eps_validation():
     with pytest.raises(GraphError, match="eps"):
         no_signalling_check(pr_box(), 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(GraphError, match="eps"):
+            no_signalling_check(pr_box(), bad)
 
 
 # --- membership --------------------------------------------------------------------
@@ -276,6 +279,16 @@ def test_membership_roundtrip_on_random_models():
 def test_membership_rejects_signalling_input():
     with pytest.raises(GraphError, match="no-signalling"):
         lhv_membership(signalling_behavior())
+
+
+def test_membership_verdict_follows_facets_across_the_boundary():
+    # PR box mixed with uniform noise has S = 4t; the facet lies at t = 1/2
+    uniform = np.full((2, 2, 2, 2), 0.25)
+    for k in range(-50, 201):
+        t = 0.5 + k * 1e-10
+        b = Behavior(t * pr_box().table + (1.0 - t) * uniform)
+        verdict = lhv_membership(b)
+        assert verdict.local == (max(chsh_value(b, v) for v in range(8)) <= 2.0 + 1e-9), k
 
 
 def test_boundary_behavior_deterministic_strategy_is_local():

@@ -262,6 +262,16 @@ def test_unexpected_exception_is_an_internal_error(bell_dag_file, monkeypatch, c
     assert (str(fault) or "MemoryError") in err
 
 
+def test_bell_member_just_past_the_facet(tmp_path, capsys):
+    t = 0.5 + 2e-9
+    b = bell.Behavior(t * bell.pr_box().table + (1.0 - t) * np.full((2, 2, 2, 2), 0.25))
+    path = tmp_path / "edge.behavior"
+    path.write_text(bell.format_behavior(b))
+    assert run(["bell-chsh", str(path)]) == 1
+    assert run(["bell-member", str(path)]) == 1
+    assert capsys.readouterr().out.endswith("not local: variant 0, S = 2.000000008\n")
+
+
 def test_bad_variant_rejected(singlet_file, capsys):
     assert run(["bell-chsh", singlet_file, "--variant", "9"]) == 2
     assert "variant" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from causalbell.bell import bell_dag
+from causalbell.bell import Behavior, LhvModel, bell_dag
 from causalbell.distributions import (
     DIRECT_CAUSE,
     SCREENED,
@@ -73,6 +73,26 @@ def test_tables_are_write_locked():
     t = ConditionalTable("P", (), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         t.entries[0] = 1.0
+
+
+def test_constructors_copy_the_callers_array():
+    a = np.array([0.5, 0.5])
+    JointTable((("P", 2),), a)
+    ConditionalTable("P", (), a)
+    a[0] = 0.25  # still the caller's writable array
+    big = np.array([[0.5, 0.5], [0.25, 0.75]])
+    p = JointTable((("P", 2),), big[0])
+    t = ConditionalTable("P", (), big[1])
+    big[:] = 0.9
+    assert p.probabilities.tolist() == [0.5, 0.5]
+    assert t.entries.tolist() == [0.25, 0.75]
+    table = np.full((2, 2, 2, 2), 0.25)
+    b = Behavior(table)
+    responses = np.full((1, 2, 2), 0.5)
+    m = LhvModel(np.ones(1), responses, responses)
+    table[:] = responses[:] = 1.0
+    assert (b.table == 0.25).all()
+    assert (m.response_a == 0.5).all() and (m.response_b == 0.5).all()
 
 
 def test_conditional_table_validation():
@@ -231,6 +251,9 @@ def test_bell_joint_outcome_screening():
 def test_ci_requires_positive_eps():
     with pytest.raises(GraphError, match="eps"):
         ci_holds(coins(), CondQuery({"P"}, {"Q"}), eps=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(GraphError, match="eps"):
+            ci_holds(coins(), CondQuery({"P"}, {"Q"}), eps=bad)
 
 
 def test_ci_rejects_overlap():
@@ -471,6 +494,9 @@ def test_graphoid_audit_validates_arguments():
         graphoid_audit(coins(), trials=0, seed=1)
     with pytest.raises(GraphError, match="eps"):
         graphoid_audit(coins(), eps=-1.0, trials=10, seed=1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(GraphError, match="eps"):
+            graphoid_audit(coins(), eps=bad, trials=10, seed=1)
 
 
 # --- random compatible tables ----------------------------------------------------------

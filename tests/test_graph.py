@@ -77,6 +77,10 @@ def test_longer_cycle_reported():
     ("node X 2\nnode L latent 2\nedge X -> L", 3, "latent"),
     ("node X 2\nnode Y 2\nedge X Y", 3, "expected 'edge"),
     ("node X", 1, "expected 'node"),
+    ("node X 2\nnode L latent 2\nedge X -> L\nnode Z 2", 3, "latent"),
+    ("node X 2\nnode Y 2\nedge X -> Y\nnode X 2", 4, "duplicate node"),
+    ("node X 2\nedge X -> Y\nnode Y 2", 2, "unknown edge endpoint"),
+    ("node X 2\nnode Y 2\nedge X -> X\nnode Y 2", 4, "duplicate node"),
 ])
 def test_parse_errors_carry_line_numbers(text, lineno, fragment):
     with pytest.raises(DagParseError) as exc:
