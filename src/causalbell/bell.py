@@ -90,45 +90,31 @@ def behavior_from_lhv(m: LhvModel) -> Behavior:
     return Behavior(table)
 
 
+# _RESPONSES[i, wing, setting, outcome] is 1 where deterministic strategy i
+# gives that outcome: i = 4*fa + fb, and bit x of fa is a(x), bit y of fb is b(y).
+_RESPONSES = np.eye(2)[
+    (np.array([divmod(i, 4) for i in range(16)])[:, :, None] >> np.arange(2)) & 1
+]
+_RESPONSES.flags.writeable = False
+
+# All 16 deterministic behaviors P(a,b|x,y) on a leading strategy axis.
+_DET_TABLES = np.einsum("ixa,iyb->iabxy", _RESPONSES[:, 0], _RESPONSES[:, 1])
+
+
 def deterministic_strategies() -> list[LhvModel]:
     """The 16 deterministic strategies a = f(x), b = g(y), as point-mass models.
 
     Strategy index i = 4*fa + fb where bit x of fa is a(x) and bit y of
     fb is b(y).
     """
-    out = []
-    for fa in range(4):
-        for fb in range(4):
-            ra = np.zeros((1, 2, 2))
-            rb = np.zeros((1, 2, 2))
-            for x in range(2):
-                ra[0, x, (fa >> x) & 1] = 1.0
-            for y in range(2):
-                rb[0, y, (fb >> y) & 1] = 1.0
-            out.append(LhvModel(np.ones(1), ra, rb))
-    return out
+    return [LhvModel(np.ones(1), r[None, 0], r[None, 1]) for r in _RESPONSES]
 
 
 def strategy_responses(i: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """(a(0), a(1)), (b(0), b(1)) for deterministic strategy ``i``."""
-    fa, fb = divmod(i, 4)
-    return ((fa >> 0) & 1, (fa >> 1) & 1), ((fb >> 0) & 1, (fb >> 1) & 1)
+    (a0, a1), (b0, b1) = _RESPONSES[i].argmax(axis=-1).tolist()
+    return (a0, a1), (b0, b1)
 
-
-def _deterministic_tables() -> np.ndarray:
-    """All 16 deterministic behaviors stacked on a leading strategy axis."""
-    tables = np.zeros((16, 2, 2, 2, 2))
-    for i in range(16):
-        (a0, a1), (b0, b1) = strategy_responses(i)
-        a_of = (a0, a1)
-        b_of = (b0, b1)
-        for x in range(2):
-            for y in range(2):
-                tables[i, a_of[x], b_of[y], x, y] = 1.0
-    return tables
-
-
-_DET_TABLES = _deterministic_tables()
 
 _SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])  # (-1)^(a xor b)
 
@@ -283,10 +269,7 @@ def lhv_membership(b: Behavior, eps: float = 1e-9) -> MembershipVerdict:
             f"(residual={residual!r}, max facet={values[best_variant]!r})"
         )
     if values[best_variant] <= 2.0 + eps:
-        strategies = deterministic_strategies()
-        ra = np.stack([s.response_a[0] for s in strategies])
-        rb = np.stack([s.response_b[0] for s in strategies])
-        model = LhvModel(weights, ra, rb)
+        model = LhvModel(weights, _RESPONSES[:, 0], _RESPONSES[:, 1])
         return MembershipVerdict(True, model, None, None, residual)
     return MembershipVerdict(False, None, best_variant, values[best_variant], residual)
 

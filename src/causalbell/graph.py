@@ -11,8 +11,9 @@ outputs reproducible for equal inputs.
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
@@ -113,20 +114,22 @@ class Dag:
         self._adjacency: dict[str, tuple[tuple[str, bool], ...]] | None = None
 
     def _toposort(self) -> tuple[str, ...]:
-        # Repeatedly emit the first declared node whose parents are all
-        # emitted; quadratic but stable, and graphs here are small.
-        emitted: set[str] = set()
+        # Kahn's algorithm on a min-heap of declaration indices: always emit
+        # the first declared node whose parents are all emitted.
+        waiting = [len(self._parents[v]) for v in self._names]
+        ready = [i for i, count in enumerate(waiting) if count == 0]
         order: list[str] = []
-        remaining = list(self._names)
-        while remaining:
-            for v in remaining:
-                if all(p in emitted for p in self._parents[v]):
-                    order.append(v)
-                    emitted.add(v)
-                    remaining.remove(v)
-                    break
-            else:
-                raise CycleError(self._find_cycle(remaining))
+        while ready:
+            v = self._names[heapq.heappop(ready)]
+            order.append(v)
+            for c in self._children[v]:
+                i = self._index[c]
+                waiting[i] -= 1
+                if waiting[i] == 0:
+                    heapq.heappush(ready, i)
+        if len(order) < len(self._names):
+            leftover = [v for v, count in zip(self._names, waiting) if count]
+            raise CycleError(self._find_cycle(leftover))
         return tuple(order)
 
     def _find_cycle(self, leftover: list[str]) -> list[str]:
@@ -360,13 +363,12 @@ class CondQuery:
         object.__setattr__(self, "y", frozenset(self.y))
         object.__setattr__(self, "z", frozenset(self.z))
 
-    def validate(self, universe: Iterable[str]) -> None:
+    def validate(self, universe: Container[str]) -> None:
         """Raise GraphError unless the query is well-formed over ``universe``."""
-        known = set(universe)
         if not self.x or not self.y:
             raise GraphError("query sets X and Y must be nonempty")
         if self.x & self.y or self.x & self.z or self.y & self.z:
             raise GraphError("overlapping query sets")
-        unknown = (self.x | self.y | self.z) - known
+        unknown = {v for v in self.x | self.y | self.z if v not in universe}
         if unknown:
             raise GraphError(f"unknown node(s) in query: {sorted(unknown)}")

@@ -245,7 +245,7 @@ def d_separated(g: Dag, q: CondQuery) -> SeparationVerdict:
     descendants is in Z. When the sets are connected, the witness is the
     first active path in enumeration order.
     """
-    q.validate(g.names)
+    q.validate(g)
     return _decide(g, q, q.z, _with_ancestors(g, q.z), lambda x, y: True)
 
 
@@ -290,7 +290,7 @@ def q_separated(g: Dag, q: CondQuery) -> SeparationVerdict:
     X and Y may contain only setting/outcome nodes. Z may contain nodes
     of any kind; non-outcome members are simply invisible to the rule.
     """
-    q.validate(g.names)
+    q.validate(g)
     for name in sorted(q.x | q.y, key=g.index):
         if g.kind(name) is NodeKind.LATENT:
             raise GraphError(f"latent node {name!r} not allowed in a q-separation query")

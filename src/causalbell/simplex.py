@@ -4,9 +4,13 @@ Solves   min c.x   s.t.   A_ub x <= b_ub,  A_eq x == b_eq,  x >= 0
 
 on problems with tens of variables. Inequalities get slack columns,
 phase one minimizes artificial variables to find a basic feasible point,
-phase two optimizes the real objective. Bland's rule (always the lowest
-eligible index) keeps the pivot sequence finite on degenerate problems,
-which the polytope-membership feasibility solve produces routinely.
+phase two optimizes the real objective. Each pivot updates the whole
+tableau at once with one outer product. Bland's rule keeps the pivot
+sequence finite on degenerate problems, which the polytope-membership
+feasibility solve produces routinely: the entering column is the first
+eligible non-basic one, and among the rows whose ratio lies within
+``_PIVOT_TOL`` of the least, the leaving row is the one with the lowest
+basic index.
 """
 
 from __future__ import annotations
@@ -30,124 +34,75 @@ class LpResult:
     objective: float | None = None
 
 
-def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
+def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and abs(tableau[r, col]) > 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
+    factor = tableau[:, col].copy()
+    factor[row] = 0.0
+    tableau -= np.outer(factor, tableau[row])
     basis[row] = col
 
 
-def _iterate(tableau: np.ndarray, basis: list[int], cost: np.ndarray,
+def _iterate(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
              allowed: int) -> str:
     """Run simplex iterations in place; ``allowed`` bounds entering columns."""
-    m = tableau.shape[0]
     while True:
-        # reduced costs relative to the current basis
-        reduced = cost[:allowed].copy()
-        for r in range(m):
-            cb = cost[basis[r]]
-            if cb != 0.0:
-                reduced -= cb * tableau[r, :allowed]
-        entering = -1
-        for j in range(allowed):
-            if reduced[j] < -_PIVOT_TOL and j not in basis:
-                entering = j
-                break
-        if entering < 0:
+        reduced = cost[:allowed] - cost[basis] @ tableau[:, :allowed]
+        eligible = reduced < -_PIVOT_TOL
+        eligible[basis] = False
+        if not eligible.any():
             return OPTIMAL
-        leaving = -1
-        best = np.inf
-        for r in range(m):
-            a = tableau[r, entering]
-            if a > _PIVOT_TOL:
-                ratio = tableau[r, -1] / a
-                if ratio < best - _PIVOT_TOL or (
-                    abs(ratio - best) <= _PIVOT_TOL
-                    and (leaving < 0 or basis[r] < basis[leaving])
-                ):
-                    best = ratio
-                    leaving = r
-        if leaving < 0:
+        entering = int(np.argmax(eligible))
+        rows = np.flatnonzero(tableau[:, entering] > _PIVOT_TOL)
+        if rows.size == 0:
             return UNBOUNDED
-        _pivot(tableau, basis, leaving, entering)
+        ratios = tableau[rows, -1] / tableau[rows, entering]
+        ties = rows[ratios <= ratios.min() + _PIVOT_TOL]
+        _pivot(tableau, basis, int(ties[np.argmin(basis[ties])]), entering)
 
 
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LpResult:
     """Solve the LP; all variables are implicitly non-negative."""
     c = np.asarray(c, dtype=np.float64)
     n = c.shape[0]
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    n_slack = 0 if A_ub is None else np.asarray(A_ub).shape[0]
-    if A_ub is not None:
-        A_ub = np.asarray(A_ub, dtype=np.float64)
-        b_ub = np.asarray(b_ub, dtype=np.float64)
-        for i in range(A_ub.shape[0]):
-            row = np.zeros(n + n_slack)
-            row[:n] = A_ub[i]
-            row[n + i] = 1.0
-            rows.append(row)
-            rhs.append(float(b_ub[i]))
-    if A_eq is not None:
-        A_eq = np.asarray(A_eq, dtype=np.float64)
-        b_eq = np.asarray(b_eq, dtype=np.float64)
-        for i in range(A_eq.shape[0]):
-            row = np.zeros(n + n_slack)
-            row[:n] = A_eq[i]
-            rows.append(row)
-            rhs.append(float(b_eq[i]))
-    m = len(rows)
+    A_ub = np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, dtype=np.float64)
+    A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=np.float64)
+    n_slack, m = A_ub.shape[0], A_ub.shape[0] + A_eq.shape[0]
     if m == 0:
         return LpResult(OPTIMAL, np.zeros(n), 0.0)
-    A = np.vstack(rows)
-    b = np.asarray(rhs)
-    flip = b < 0
-    A[flip] *= -1.0
-    b = np.where(flip, -b, b)
-
     width = n + n_slack
     tableau = np.zeros((m, width + m + 1))
-    tableau[:, :width] = A
-    tableau[:, width:width + m] = np.eye(m)
-    tableau[:, -1] = b
-    basis = [width + i for i in range(m)]
+    tableau[:n_slack, :n] = A_ub
+    tableau[:n_slack, n:width] = np.eye(n_slack)
+    tableau[n_slack:, :n] = A_eq
+    tableau[:, -1] = np.concatenate([np.ravel(b) for b in (b_ub, b_eq) if b is not None])
+    tableau[tableau[:, -1] < 0] *= -1.0  # the artificial start needs b >= 0
+    tableau[:, width:-1] = np.eye(m)
+    basis = np.arange(width, width + m)
 
     phase1_cost = np.zeros(width + m)
     phase1_cost[width:] = 1.0
     status = _iterate(tableau, basis, phase1_cost, allowed=width + m)
     if status != OPTIMAL:
         return LpResult(INFEASIBLE)
-    infeasibility = float(sum(tableau[r, -1] for r in range(m) if basis[r] >= width))
-    if infeasibility > _FEAS_TOL:
+    if tableau[basis >= width, -1].sum() > _FEAS_TOL:
         return LpResult(INFEASIBLE)
 
     # kick remaining artificials out of the basis; drop redundant rows
-    keep = []
-    for r in range(m):
-        if basis[r] >= width:
-            pivot_col = -1
-            for j in range(width):
-                if abs(tableau[r, j]) > _PIVOT_TOL:
-                    pivot_col = j
-                    break
-            if pivot_col < 0:
-                continue  # numerically zero row, redundant constraint
-            _pivot(tableau, basis, r, pivot_col)
-        keep.append(r)
-    if len(keep) != m:
-        tableau = tableau[keep]
-        basis = [basis[r] for r in keep]
-        m = len(keep)
+    keep = np.ones(m, dtype=bool)
+    for r in np.flatnonzero(basis >= width):
+        cols = np.flatnonzero(np.abs(tableau[r, :width]) > _PIVOT_TOL)
+        if cols.size == 0:
+            keep[r] = False  # numerically zero row, redundant constraint
+        else:
+            _pivot(tableau, basis, r, int(cols[0]))
+    tableau, basis = tableau[keep], basis[keep]
 
-    phase2_cost = np.zeros(tableau.shape[1] - 1)
+    phase2_cost = np.zeros(width + m)
     phase2_cost[:n] = c
     status = _iterate(tableau, basis, phase2_cost, allowed=width)
     if status != OPTIMAL:
         return LpResult(UNBOUNDED)
     x = np.zeros(width)
-    for r in range(m):
-        if basis[r] < width:
-            x[basis[r]] = tableau[r, -1]
+    x[basis] = tableau[:, -1]
     x = np.where(np.abs(x) < 1e-14, 0.0, x)
     return LpResult(OPTIMAL, x[:n], float(c @ x[:n]))

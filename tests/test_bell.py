@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from causalbell.bell import (
+    _DET_TABLES,
     CHSH_ANGLES,
     Behavior,
     LhvModel,
@@ -127,6 +128,18 @@ def test_sixteen_deterministic_strategies():
         assert set(np.unique(table)) <= {0.0, 1.0}
         seen.add(table.tobytes())
     assert len(seen) == 16
+    for i, s in enumerate(strategies):
+        # the index rule, spelled out: i = 4*fa + fb, bit x of fa is a(x)
+        fa, fb = divmod(i, 4)
+        a_of, b_of = (fa & 1, fa >> 1), (fb & 1, fb >> 1)
+        assert strategy_responses(i) == (a_of, b_of)
+        assert all(type(v) is int for wing in strategy_responses(i) for v in wing)
+        expected = np.zeros((2, 2, 2, 2))
+        for x in range(2):
+            for y in range(2):
+                expected[a_of[x], b_of[y], x, y] = 1.0
+        assert np.array_equal(behavior_from_lhv(s).table, expected)
+        assert np.array_equal(_DET_TABLES[i], expected)
 
 
 def test_deterministic_maximum_is_the_local_bound():

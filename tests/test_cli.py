@@ -155,9 +155,28 @@ def test_bell_member_pr_box_output(pr_file, capsys):
 
 
 def test_bell_member_local_output(lhv_file, capsys):
+    # the weights pin the simplex's pivot sequence: another vertex of the
+    # optimal face would print other weights for the same behavior
     assert run(["bell-member", lhv_file]) == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[0] == "local"
+    assert capsys.readouterr().out == """\
+local
+w[ 0] = 0.000000000  a(0)=0 a(1)=0 b(0)=0 b(1)=0
+w[ 1] = 0.003558948  a(0)=0 a(1)=0 b(0)=1 b(1)=0
+w[ 2] = 0.000000000  a(0)=0 a(1)=0 b(0)=0 b(1)=1
+w[ 3] = 0.000000000  a(0)=0 a(1)=0 b(0)=1 b(1)=1
+w[ 4] = 0.058202060  a(0)=1 a(1)=0 b(0)=0 b(1)=0
+w[ 5] = 0.154850893  a(0)=1 a(1)=0 b(0)=1 b(1)=0
+w[ 6] = 0.314355295  a(0)=1 a(1)=0 b(0)=0 b(1)=1
+w[ 7] = 0.000000000  a(0)=1 a(1)=0 b(0)=1 b(1)=1
+w[ 8] = 0.000000000  a(0)=0 a(1)=1 b(0)=0 b(1)=0
+w[ 9] = 0.110787731  a(0)=0 a(1)=1 b(0)=1 b(1)=0
+w[10] = 0.235832937  a(0)=0 a(1)=1 b(0)=0 b(1)=1
+w[11] = 0.019094923  a(0)=0 a(1)=1 b(0)=1 b(1)=1
+w[12] = 0.016656726  a(0)=1 a(1)=1 b(0)=0 b(1)=0
+w[13] = 0.000000000  a(0)=1 a(1)=1 b(0)=1 b(1)=0
+w[14] = 0.086660486  a(0)=1 a(1)=1 b(0)=0 b(1)=1
+w[15] = 0.000000000  a(0)=1 a(1)=1 b(0)=1 b(1)=1
+"""
 
 
 def test_bell_nosig(pr_file, tmp_path, capsys):

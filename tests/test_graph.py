@@ -65,6 +65,45 @@ def test_longer_cycle_reported():
     assert len(exc.value.cycle) == 4  # three nodes plus the repeated closer
 
 
+def _first_ready_order(g: Dag) -> list[str]:
+    """Reference order: repeatedly emit the first declared node whose
+    parents are all emitted."""
+    order: list[str] = []
+    while len(order) < len(g):
+        order.append(next(v for v in g.names
+                          if v not in order and g.parents(v) <= set(order)))
+    return order
+
+
+def test_reverse_declared_graph_sorts_by_declaration():
+    chain = [f"n{i}" for i in range(200)]
+    g = Dag([(v, "outcome", 2) for v in reversed(chain)], list(zip(chain, chain[1:])))
+    assert g.topological_order() == chain
+    rng = np.random.default_rng(11)
+    for _ in range(30):  # random DAGs declared sinks first
+        n = int(rng.integers(2, 15))
+        edges = [(f"v{i}", f"v{j}") for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.3]
+        g = Dag([(f"v{i}", "outcome", 2) for i in reversed(range(n))], edges)
+        assert g.topological_order() == _first_ready_order(g)
+
+
+def test_two_disjoint_cycles_report_the_first_declared_one():
+    # the walk starts from F, the first declared node left over, and
+    # climbs into the C/D cycle; the A/B/E cycle is declared later
+    text = (
+        "node F 2\nnode C 2\nnode D 2\nnode A 2\nnode B 2\nnode E 2\nnode G 2\n"
+        "edge G -> A\nedge D -> F\nedge C -> D\nedge D -> C\n"
+        "edge A -> B\nedge B -> E\nedge E -> A\n"
+    )
+    with pytest.raises(CycleError) as exc:
+        parse_dag(text)
+    assert exc.value.cycle == ["D", "C", "D"]
+    with pytest.raises(CycleError) as exc:
+        parse_dag(text.replace("edge D -> C\n", ""))
+    assert exc.value.cycle == ["A", "B", "E", "A"]
+
+
 @pytest.mark.parametrize("text,lineno,fragment", [
     ("nodes X setting 2", 1, "unknown directive"),
     ("node X setting 2\nnode X outcome 2", 2, "duplicate node"),
@@ -207,6 +246,9 @@ def test_cond_query_validation():
         CondQuery({"X"}, {"Y"}, {"X"}).validate(g.names)
     with pytest.raises(GraphError, match="unknown"):
         CondQuery({"X"}, {"W"}).validate(g.names)
+    CondQuery({"X"}, {"Y"}, {"Z"}).validate(g)  # any container of names
+    with pytest.raises(GraphError, match=r"^unknown node\(s\) in query: \['V', 'W'\]$"):
+        CondQuery({"X"}, {"W"}, {"V"}).validate(g)
 
 
 def test_dag_enumeration_counts():

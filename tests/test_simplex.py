@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from causalbell import bell
 from causalbell.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 
@@ -46,6 +47,7 @@ def test_degenerate_vertex():
     )
     assert res.status == OPTIMAL
     assert res.objective == pytest.approx(-2.0, abs=1e-9)
+    assert res.x.tolist() == [1.0, 1.0]  # the vertex Bland's rule reaches
 
 
 def test_redundant_equalities():
@@ -56,6 +58,7 @@ def test_redundant_equalities():
     )
     assert res.status == OPTIMAL
     assert res.objective == pytest.approx(0.0, abs=1e-12)
+    assert res.x.tolist() == [0.0, 1.0]
 
 
 def test_negative_rhs_handled():
@@ -95,3 +98,55 @@ def test_convex_hull_membership_against_construction(seed):
 
     assert residual(inside) <= 1e-9
     assert residual(outside) > 0.1
+
+
+def _membership_lp(table):
+    """The LP of ``bell._membership_residual``: min t over 16 weights and t,
+    each table entry within t of the mixture, weights summing to 1."""
+    d = bell._DET_TABLES.reshape(16, 16).T
+    p = table.reshape(16)
+    a_ub = np.block([[d, -np.ones((16, 1))], [-d, -np.ones((16, 1))]])
+    a_eq = np.append(np.ones(16), 0.0)[None, :]
+    c = np.append(np.zeros(16), 1.0)
+    return c, a_ub, np.concatenate([p, -p]), a_eq, np.ones(1)
+
+
+def _oracle_behaviors():
+    rng = np.random.default_rng(2024)
+    pr, uniform = bell.pr_box().table, np.full((2, 2, 2, 2), 0.25)
+    for _ in range(15):
+        yield bell.singlet_behavior(*rng.uniform(-np.pi, np.pi, 4))
+        yield bell.behavior_from_lhv(bell.random_lhv(int(rng.integers(2**31))))
+        t = rng.random()
+        yield bell.Behavior(t * pr + (1 - t) * uniform)
+    for k in range(-20, 41, 4):  # the facet boundary sits at t = 1/2
+        t = 0.5 + k * 1e-10
+        yield bell.Behavior(t * pr + (1 - t) * uniform)
+
+
+def test_membership_lp_matches_scipy_highs():
+    """Third route for the feasibility solve: scipy's HiGHS on the same LP."""
+    optimize = pytest.importorskip("scipy.optimize")
+    for b in _oracle_behaviors():
+        c, a_ub, b_ub, a_eq, b_eq = _membership_lp(b.table)
+        ours = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+        assert bell._membership_residual(b)[0] == ours.objective  # the same LP
+        ref = optimize.linprog(c, a_ub, b_ub, a_eq, b_eq, bounds=(0, None), method="highs")
+        assert ref.status == 0 and ours.status == OPTIMAL
+        assert abs(ours.objective - ref.fun) <= 1e-9
+        assert (ours.x >= -1e-9).all()
+        assert (a_ub @ ours.x <= b_ub + 1e-9).all()
+        assert np.abs(a_eq @ ours.x - b_eq).max() <= 1e-9
+
+
+def test_membership_pivot_sequence_is_pinned():
+    # exact floats: a different tie among equal ratios leaves the same
+    # vertex but reaches it by other pivots, which moves the last bits
+    b = bell.behavior_from_lhv(bell.random_lhv(3))
+    res = solve_lp(*_membership_lp(b.table))
+    assert res.x.tolist() == [
+        0.0, 0.0035589484013176242, 0.0, 0.0, 0.058202059992464555,
+        0.15485089259626766, 0.31435529516456706, 0.0, 0.0, 0.11078773120860552,
+        0.23583293736556432, 0.019094923197203878, 0.016656725979538017, 0.0,
+        0.08666048609447155, 0.0, 0.0,
+    ]
