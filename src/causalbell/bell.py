@@ -193,7 +193,9 @@ class MembershipVerdict:
 
     Exactly one of ``model`` (when local) and the violated facet fields
     (when not) is populated. ``residual`` is the best achievable maximum
-    entrywise reconstruction error over the local set.
+    entrywise reconstruction error over the local set. A local model mixes
+    deterministic strategies: every response row is one-hot, so each hidden
+    value is labelled by the strategy it selects.
     """
 
     local: bool
@@ -202,12 +204,22 @@ class MembershipVerdict:
     violated_value: float | None
     residual: float
 
+    def __post_init__(self) -> None:
+        if self.local and self.model is not None:
+            rows = self._responses()
+            if not ((rows == 0.0) | (rows == 1.0)).all():
+                raise GraphError("a local verdict's model must have one-hot response rows")
+
+    def _responses(self) -> np.ndarray:
+        """Response rows indexed [lambda, wing, setting, outcome]."""
+        return np.stack((self.model.response_a, self.model.response_b), axis=1)
+
     def to_text(self) -> str:
         if self.local:
             assert self.model is not None
             lines = ["local"]
-            for i, w in enumerate(self.model.lambda_weights):
-                (a0, a1), (b0, b1) = strategy_responses(i)
+            labels = self._responses().argmax(axis=-1).tolist()
+            for i, (w, ((a0, a1), (b0, b1))) in enumerate(zip(self.model.lambda_weights, labels)):
                 lines.append(
                     f"w[{i:2d}] = {w:.9f}  a(0)={a0} a(1)={a1} b(0)={b0} b(1)={b1}"
                 )

@@ -4,6 +4,10 @@ Exit status carries the verdict: 0 for the affirmative answer
 (separated / holds / local / pass), 1 for the negative answer, 2 for
 usage or input problems. All randomized commands require an explicit
 seed and reports are byte-stable across runs for equal inputs.
+
+Only the graph layers load with this module. The handlers that need the
+numpy-backed `bell` or `distributions` layer import it themselves, so
+`dsep`, `qsep` and `compare` never import numpy.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import sys
 from pathlib import Path
 from typing import Callable, TypeVar
 
-from . import bell, distributions, separation
+from . import separation
 from .graph import CondQuery, GraphError, parse_dag
 
 PASS = 0
@@ -99,7 +103,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--angles", default=None, help="four comma-separated radians")
-    p.add_argument("--lambda-card", type=int, default=bell.DEFAULT_LAMBDA_CARD)
+    p.add_argument("--lambda-card", type=int, default=None)
     p.add_argument("--dag", default=None, help="DAG file (random-compatible)")
     return parser
 
@@ -114,7 +118,8 @@ def _validate_flags(args: argparse.Namespace) -> None:
     variant = getattr(args, "variant", None)
     if variant is not None and not 0 <= variant <= 7:
         raise GraphError(f"variant must be in 0..7, got {variant}")
-    if getattr(args, "lambda_card", 1) < 1:
+    lambda_card = getattr(args, "lambda_card", None)
+    if lambda_card is not None and lambda_card < 1:
         raise GraphError("lambda cardinality must be positive")
     if args.verb == "gen":
         if args.kind in ("random-lhv", "random-compatible") and args.seed is None:
@@ -186,6 +191,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_dist_audit(args: argparse.Namespace) -> int:
+    from . import distributions
+
     g = _load(parse_dag, args.dag)
     p = _load(distributions.parse_distribution, args.dist)
     fn = {
@@ -199,6 +206,8 @@ def _cmd_dist_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_rpcc(args: argparse.Namespace) -> int:
+    from . import distributions
+
     g = _load(parse_dag, args.dag)
     p = _load(distributions.parse_distribution, args.dist)
     report = distributions.reichenbach_check(
@@ -209,6 +218,8 @@ def _cmd_rpcc(args: argparse.Namespace) -> int:
 
 
 def _cmd_graphoid(args: argparse.Namespace) -> int:
+    from . import distributions
+
     p = _load(distributions.parse_distribution, args.dist)
     report = distributions.graphoid_audit(p, args.eps, args.trials, args.seed)
     sys.stdout.write(report.to_text())
@@ -216,6 +227,8 @@ def _cmd_graphoid(args: argparse.Namespace) -> int:
 
 
 def _cmd_bell_chsh(args: argparse.Namespace) -> int:
+    from . import bell
+
     b = _load(bell.parse_behavior, args.behavior)
     variants = range(8) if args.variant is None else [args.variant]
     worst = -math.inf
@@ -227,6 +240,8 @@ def _cmd_bell_chsh(args: argparse.Namespace) -> int:
 
 
 def _cmd_bell_member(args: argparse.Namespace) -> int:
+    from . import bell
+
     b = _load(bell.parse_behavior, args.behavior)
     verdict = bell.lhv_membership(b, args.eps)
     sys.stdout.write(verdict.to_text())
@@ -234,6 +249,8 @@ def _cmd_bell_member(args: argparse.Namespace) -> int:
 
 
 def _cmd_bell_nosig(args: argparse.Namespace) -> int:
+    from . import bell
+
     b = _load(bell.parse_behavior, args.behavior)
     report = bell.no_signalling_check(b, args.eps)
     sys.stdout.write(report.to_text())
@@ -241,6 +258,8 @@ def _cmd_bell_nosig(args: argparse.Namespace) -> int:
 
 
 def _cmd_bell_qcc(args: argparse.Namespace) -> int:
+    from . import bell
+
     b = _load(bell.parse_behavior, args.behavior)
     report = bell.quantum_causality_audit(b, args.eps)
     sys.stdout.write(report.to_text())
@@ -248,15 +267,18 @@ def _cmd_bell_qcc(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from . import bell, distributions
+
+    lambda_card = bell.DEFAULT_LAMBDA_CARD if args.lambda_card is None else args.lambda_card
     if args.kind == "bell-dag":
-        text = bell.bell_dag(args.lambda_card).to_text()
+        text = bell.bell_dag(lambda_card).to_text()
     elif args.kind == "singlet":
         angles = bell.CHSH_ANGLES if args.angles is None else _parse_angles(args.angles)
         text = bell.format_behavior(bell.singlet_behavior(*angles))
     elif args.kind == "pr-box":
         text = bell.format_behavior(bell.pr_box())
     elif args.kind == "random-lhv":
-        model = bell.random_lhv(args.seed, args.lambda_card)
+        model = bell.random_lhv(args.seed, lambda_card)
         text = bell.format_behavior(bell.behavior_from_lhv(model))
     else:  # random-compatible
         g = _load(parse_dag, args.dag)

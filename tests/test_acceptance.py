@@ -12,6 +12,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from causalbell.bell import (
     CHSH_ANGLES,
@@ -121,6 +122,7 @@ def test_criterion_3_screening_reductions():
 # -----------------------------------------------------------------------------
 # 4. The reachability sweep equals the exhaustive path oracle everywhere.
 
+@pytest.mark.slow
 def test_criterion_4_dsep_oracle_equivalence():
     start = time.perf_counter()
     queries = 0
@@ -190,6 +192,7 @@ def _blocked_all(g: Dag, paths, z) -> bool:
     return all(path_d_blocked(g, p, z) for p in paths)
 
 
+@pytest.mark.slow
 def test_criterion_5_soundness_and_completeness():
     start = time.perf_counter()
     rng = np.random.default_rng(SEED)

@@ -5,9 +5,11 @@ import pytest
 
 from causalbell.bell import (
     _DET_TABLES,
+    _RESPONSES,
     CHSH_ANGLES,
     Behavior,
     LhvModel,
+    MembershipVerdict,
     behavior_from_lhv,
     behavior_joint,
     bell_dag,
@@ -407,3 +409,19 @@ def test_local_verdict_serialization_lists_weights():
     text = verdict.to_text()
     assert text.splitlines()[0] == "local"
     assert len(text.splitlines()) == 17
+
+
+def test_local_verdict_labels_come_from_the_models_own_rows():
+    # 20 hidden values, more than there are strategies, in reverse order
+    picks = np.arange(20)[::-1] % 16
+    model = LhvModel(np.full(20, 0.05), _RESPONSES[picks, 0], _RESPONSES[picks, 1])
+    lines = MembershipVerdict(True, model, None, None, 0.0).to_text().splitlines()
+    assert len(lines) == 21
+    for line, i in zip(lines[1:], picks):
+        (a0, a1), (b0, b1) = strategy_responses(int(i))
+        assert line.endswith(f"a(0)={a0} a(1)={a1} b(0)={b0} b(1)={b1}"), line
+
+
+def test_local_verdict_rejects_stochastic_response_rows():
+    with pytest.raises(GraphError, match="one-hot"):
+        MembershipVerdict(True, random_lhv(0, lambda_card=2), None, None, 0.0)

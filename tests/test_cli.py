@@ -232,6 +232,16 @@ def test_gen_defaults_to_stdout(capsys):
     assert len(capsys.readouterr().out.splitlines()) == 16
 
 
+def test_gen_lambda_card_default_and_override(capsys):
+    assert run(["gen", "bell-dag"]) == 0
+    assert "node Lambda latent 16" in capsys.readouterr().out.splitlines()
+    assert run(["gen", "bell-dag", "--lambda-card", "3"]) == 0
+    assert parse_dag(capsys.readouterr().out).cardinality("Lambda") == 3
+    assert run(["gen", "bell-dag", "--lambda-card", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "lambda cardinality must be positive" in captured.err and not captured.out
+
+
 # --- exit-status contract -----------------------------------------------------------------
 
 def test_usage_errors_exit_two(tmp_path, capsys):
