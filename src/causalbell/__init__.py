@@ -12,7 +12,8 @@ are resolved on first access, so graph-only callers never import numpy.
 
 import importlib
 
-from .graph import CondQuery, CycleError, Dag, DagParseError, GraphError, NodeKind, parse_dag
+from .graph import (CondQuery, CycleError, Dag, DagParseError, GraphError, NodeKind, bell_dag,
+                    parse_dag)
 from .report import AuditReport, CheckResult
 from .separation import (
     CompareReport,
@@ -32,7 +33,7 @@ __version__ = "0.1.0"
 _LAZY = {
     **dict.fromkeys((
         "CHSH_ANGLES", "Behavior", "LhvModel", "MembershipVerdict", "behavior_from_lhv",
-        "behavior_joint", "bell_dag", "chsh_value", "correlators", "deterministic_strategies",
+        "behavior_joint", "chsh_value", "correlators", "deterministic_strategies",
         "format_behavior", "lhv_joint_table", "lhv_membership", "no_signalling_check",
         "parse_behavior", "pr_box", "quantum_causality_audit", "random_lhv", "singlet_behavior",
     ), "bell"),

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import CiReport, JointTable, _check_eps, _stochastic, ci_holds
-from .graph import CondQuery, Dag, GraphError, _directive_lines
+from .graph import DEFAULT_LAMBDA_CARD, CondQuery, GraphError, _directive_lines
+from .graph import bell_dag  # noqa: F401  (the scenario's DAG, also public here)
 from .report import AuditReport, CheckResult
 from .simplex import OPTIMAL, solve_lp
-
-DEFAULT_LAMBDA_CARD = 16
 
 # Float slack on the exact bound max S <= 2 + 16 r that ties the facet sweep
 # to the feasibility solve's residual r. The simplex takes ratios within
@@ -68,20 +67,6 @@ class LhvModel:
         object.__setattr__(self, "lambda_weights", w)
         object.__setattr__(self, "response_a", _stochastic(self.response_a, "response_a", shape, -1))
         object.__setattr__(self, "response_b", _stochastic(self.response_b, "response_b", shape, -1))
-
-
-def bell_dag(lambda_card: int = DEFAULT_LAMBDA_CARD) -> Dag:
-    """The two-wing DAG: X -> A <- Lambda -> B <- Y, with free settings."""
-    return Dag(
-        nodes=[
-            ("X", "setting", 2),
-            ("Y", "setting", 2),
-            ("A", "outcome", 2),
-            ("B", "outcome", 2),
-            ("Lambda", "latent", lambda_card),
-        ],
-        edges=[("X", "A"), ("Lambda", "A"), ("Lambda", "B"), ("Y", "B")],
-    )
 
 
 def behavior_from_lhv(m: LhvModel) -> Behavior:

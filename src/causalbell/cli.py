@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, TypeVar
 
 from . import separation
-from .graph import CondQuery, GraphError, parse_dag
+from .graph import DEFAULT_LAMBDA_CARD, CondQuery, GraphError, bell_dag, parse_dag
 
 PASS = 0
 FAIL = 1
@@ -267,12 +267,14 @@ def _cmd_bell_qcc(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    lambda_card = DEFAULT_LAMBDA_CARD if args.lambda_card is None else args.lambda_card
+    if args.kind == "bell-dag":
+        _emit(bell_dag(lambda_card).to_text(), args.out)
+        return PASS
+
     from . import bell, distributions
 
-    lambda_card = bell.DEFAULT_LAMBDA_CARD if args.lambda_card is None else args.lambda_card
-    if args.kind == "bell-dag":
-        text = bell.bell_dag(lambda_card).to_text()
-    elif args.kind == "singlet":
+    if args.kind == "singlet":
         angles = bell.CHSH_ANGLES if args.angles is None else _parse_angles(args.angles)
         text = bell.format_behavior(bell.singlet_behavior(*angles))
     elif args.kind == "pr-box":

@@ -6,12 +6,19 @@ Every structural query is a pure read, so a Dag can be shared freely
 between threads. Declaration order is preserved and used to break all ties
 (topological order, serialization, downstream report rows), which keeps
 outputs reproducible for equal inputs.
+
+Internally node i is the bit ``1 << i`` of a Python int, i its declaration
+index, and the edges are one parent mask and one child mask per node, so
+ascending bit order is declaration order. Construction fills the masks,
+checks duplicate edges with a bit test and sorts topologically with
+Kahn's algorithm on a mask of ready nodes. Ancestor masks, the name-level
+parent and child tuples and the undirected adjacency are built from the
+masks on first use and kept.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
 from dataclasses import dataclass
 from typing import Container, Iterable, Iterator, Sequence
 
@@ -42,6 +49,10 @@ class NodeKind(str, enum.Enum):
     LATENT = "latent"
 
 
+# kind word -> NodeKind; a member hashes and compares like its value, so it finds itself
+_KIND_OF = {k.value: k for k in NodeKind}
+
+
 class Dag:
     """Immutable DAG over named, typed, finite-cardinality nodes.
 
@@ -52,9 +63,8 @@ class Dag:
     """
 
     __slots__ = (
-        "_names", "_index", "_kinds", "_cards",
-        "_parents", "_children", "_edges", "_topo",
-        "_anc_cache", "_desc_cache", "_adjacency",
+        "_names", "_index", "_kinds", "_cards", "_pmask", "_cmask", "_edges", "_order",
+        "_amask", "_closures", "_parents", "_children", "_adjacency",
     )
 
     def __init__(
@@ -63,88 +73,94 @@ class Dag:
         edges: Iterable[tuple[str, str]] = (),
     ):
         names: list[str] = []
-        kinds: dict[str, NodeKind] = {}
-        cards: dict[str, int] = {}
+        index: dict[str, int] = {}
+        kinds: list[NodeKind] = []
+        cards: list[int] = []
         for name, kind, card in nodes:
             if not isinstance(name, str) or not name.isidentifier():
                 raise GraphError(f"node name {name!r} is not an identifier")
-            if name in kinds:
+            if name in index:
                 raise GraphError(f"duplicate node {name!r}")
             try:
-                kind = NodeKind(kind)
-            except ValueError:
+                node_kind = _KIND_OF[kind]
+            except (KeyError, TypeError):
                 raise GraphError(f"node {name!r}: unknown kind {kind!r}") from None
             if not isinstance(card, int) or isinstance(card, bool) or card < 1:
                 raise GraphError(
                     f"node {name!r}: cardinality must be positive and integral, got {card!r}")
+            index[name] = len(names)
             names.append(name)
-            kinds[name] = kind
-            cards[name] = card
+            kinds.append(node_kind)
+            cards.append(card)
 
-        index = {name: i for i, name in enumerate(names)}
-        parents: dict[str, list[str]] = {name: [] for name in names}
-        children: dict[str, list[str]] = {name: [] for name in names}
+        pmask = [0] * len(names)
+        cmask = [0] * len(names)
         edge_list: list[tuple[str, str]] = []
-        seen_edges: set[tuple[str, str]] = set()
         for tail, head in edges:
-            for endpoint in (tail, head):
-                if endpoint not in index:
-                    raise GraphError(f"unknown edge endpoint {endpoint!r}")
-            if tail == head:
+            t = index.get(tail)
+            if t is None:
+                raise GraphError(f"unknown edge endpoint {tail!r}")
+            h = index.get(head)
+            if h is None:
+                raise GraphError(f"unknown edge endpoint {head!r}")
+            if t == h:
                 raise GraphError(f"self-loop on {tail!r}")
-            if (tail, head) in seen_edges:
+            if pmask[h] >> t & 1:
                 raise GraphError(f"duplicate edge {tail!r} -> {head!r}")
-            if kinds[head] is NodeKind.LATENT:
+            if kinds[h] is NodeKind.LATENT:
                 raise GraphError(f"latent node {head!r} cannot have an incoming edge")
-            seen_edges.add((tail, head))
+            pmask[h] |= 1 << t
+            cmask[t] |= 1 << h
             edge_list.append((tail, head))
-            parents[head].append(tail)
-            children[tail].append(head)
 
         self._names = tuple(names)
         self._index = index
         self._kinds = kinds
         self._cards = cards
-        self._parents = {v: tuple(sorted(ps, key=index.__getitem__)) for v, ps in parents.items()}
-        self._children = {v: tuple(sorted(cs, key=index.__getitem__)) for v, cs in children.items()}
+        self._pmask = pmask
+        self._cmask = cmask
         self._edges = tuple(edge_list)
-        self._topo = self._toposort()
-        self._anc_cache: dict[str, frozenset[str]] = {}
-        self._desc_cache: dict[str, frozenset[str]] = {}
+        self._order = self._toposort()
+        self._amask: list[int] | None = None
+        self._closures: dict[tuple[str, bool], frozenset[str]] | None = None
+        self._parents: list[tuple[str, ...]] | None = None
+        self._children: list[tuple[str, ...]] | None = None
         self._adjacency: dict[str, tuple[tuple[str, bool], ...]] | None = None
 
-    def _toposort(self) -> tuple[str, ...]:
-        # Kahn's algorithm on a min-heap of declaration indices: always emit
-        # the first declared node whose parents are all emitted.
-        waiting = [len(self._parents[v]) for v in self._names]
-        ready = [i for i, count in enumerate(waiting) if count == 0]
-        order: list[str] = []
+    def _toposort(self) -> list[int]:
+        # Kahn's algorithm on a mask of ready nodes: always emit the lowest
+        # set bit, the first declared node whose parents are all emitted.
+        pmask, cmask = self._pmask, self._cmask
+        ready = sum([1 << i for i, p in enumerate(pmask) if not p])
+        done = 0
+        order: list[int] = []
         while ready:
-            v = self._names[heapq.heappop(ready)]
-            order.append(v)
-            for c in self._children[v]:
-                i = self._index[c]
-                waiting[i] -= 1
-                if waiting[i] == 0:
-                    heapq.heappush(ready, i)
-        if len(order) < len(self._names):
-            leftover = [v for v, count in zip(self._names, waiting) if count]
-            raise CycleError(self._find_cycle(leftover))
-        return tuple(order)
+            low = ready & -ready
+            ready ^= low
+            done |= low
+            i = low.bit_length() - 1
+            order.append(i)
+            for j in _bits(cmask[i]):
+                if pmask[j] & done == pmask[j]:
+                    ready |= 1 << j
+        if len(order) < len(pmask):
+            raise CycleError(self._find_cycle((1 << len(pmask)) - 1 & ~done))
+        return order
 
-    def _find_cycle(self, leftover: list[str]) -> list[str]:
-        # Every leftover node has a leftover parent, so walking parents
-        # must revisit a node; the reversed walk segment is a directed cycle.
-        stuck = set(leftover)
-        walk = [leftover[0]]
-        seen_at = {leftover[0]: 0}
+    def _find_cycle(self, stuck: int) -> list[str]:
+        # Every stuck node has a stuck parent, so walking to the first
+        # declared one must revisit a node; the reversed walk segment is a
+        # directed cycle.
+        start = (stuck & -stuck).bit_length() - 1
+        walk = [start]
+        seen_at = {start: 0}
         while True:
-            cur = walk[-1]
-            nxt = next(p for p in self._parents[cur] if p in stuck)
+            parents = self._pmask[walk[-1]] & stuck
+            nxt = (parents & -parents).bit_length() - 1
             if nxt in seen_at:
                 cycle = walk[seen_at[nxt]:] + [nxt]
                 cycle.reverse()
-                return cycle
+                return [self._names[i] for i in cycle]
             seen_at[nxt] = len(walk)
             walk.append(nxt)
 
@@ -189,96 +205,138 @@ class Dag:
             raise KeyError(f"unknown node {name!r}") from None
 
     def kind(self, name: str) -> NodeKind:
-        self.index(name)
-        return self._kinds[name]
+        return self._kinds[self.index(name)]
 
     def cardinality(self, name: str) -> int:
-        self.index(name)
-        return self._cards[name]
+        return self._cards[self.index(name)]
 
     def nodes_of_kind(self, kind: NodeKind | str) -> tuple[str, ...]:
         kind = NodeKind(kind)
-        return tuple(v for v in self._names if self._kinds[v] is kind)
+        return tuple([v for v, k in zip(self._names, self._kinds) if k is kind])
 
     # --- structural queries ------------------------------------------------
 
     def parents(self, name: str) -> frozenset[str]:
         """Tails of edges pointing into ``name``."""
-        self.index(name)
-        return frozenset(self._parents[name])
+        return frozenset(self.ordered_parents(name))
 
     def children(self, name: str) -> frozenset[str]:
-        self.index(name)
-        return frozenset(self._children[name])
+        return frozenset(self.ordered_children(name))
 
     def ordered_parents(self, name: str) -> tuple[str, ...]:
         """Parents sorted by declaration order (stable CPT axis order)."""
-        self.index(name)
-        return self._parents[name]
+        if self._parents is None:
+            self._parents = self._named(self._pmask)
+        return self._parents[self.index(name)]
 
     def ordered_children(self, name: str) -> tuple[str, ...]:
-        self.index(name)
-        return self._children[name]
+        if self._children is None:
+            self._children = self._named(self._cmask)
+        return self._children[self.index(name)]
+
+    def _named(self, masks: list[int]) -> list[tuple[str, ...]]:
+        # each mask's members by name, in declaration order
+        names = self._names
+        return [tuple([names[i] for i in _bits(m)]) for m in masks]
 
     def ancestors(self, name: str) -> frozenset[str]:
         """Transitive closure of parents; does not include the node itself."""
-        return self._closure(name, self._parents, self._anc_cache)
+        return self._closure(name, True)
 
     def descendants(self, name: str) -> frozenset[str]:
         """All nodes that have ``name`` as an ancestor."""
-        return self._closure(name, self._children, self._desc_cache)
+        return self._closure(name, False)
 
-    def _closure(self, name: str, step: dict[str, tuple[str, ...]],
-                 cache: dict[str, frozenset[str]]) -> frozenset[str]:
-        # Nodes reachable from ``name`` by repeated ``step``, cached per node.
-        self.index(name)
-        cached = cache.get(name)
+    def _closure(self, name: str, up: bool) -> frozenset[str]:
+        # Ancestors (up) or descendants of ``name``, cached per node.
+        i = self.index(name)
+        if self._closures is None:
+            self._closures = {}
+        cached = self._closures.get((name, up))
         if cached is None:
-            out: set[str] = set()
-            stack = list(step[name])
-            while stack:
-                v = stack.pop()
-                if v not in out:
-                    out.add(v)
-                    stack.extend(step[v])
-            cached = cache[name] = frozenset(out)
+            amask = self._ancestor_masks()
+            if up:
+                members = _bits(amask[i])
+            else:
+                members = [j for j, a in enumerate(amask) if a >> i & 1]
+            cached = self._closures[name, up] = frozenset([self._names[j] for j in members])
         return cached
+
+    def _ancestor_masks(self) -> list[int]:
+        """Each node's ancestors as a mask, in declaration order.
+
+        Package-internal: built in one pass over the topological order on
+        first use and kept; callers must not mutate it.
+        """
+        if self._amask is None:
+            pmask = self._pmask
+            amask = [0] * len(pmask)
+            for i in self._order:
+                a = pmask[i]
+                for j in _bits(a):
+                    a |= amask[j]
+                amask[i] = a
+            self._amask = amask
+        return self._amask
 
     def _undirected_adjacency(self) -> dict[str, tuple[tuple[str, bool], ...]]:
         """Every node's neighbours in declaration order, each tagged True
         for a child and False for a parent.
 
-        Package-internal: the separation sweep and path searches read it
-        once per query instead of validating each neighbour's name. Built
-        on first use and kept, so repeated queries on one graph share it;
+        Package-internal: path enumeration reads it once per call instead
+        of validating each neighbour's name. Built on first use and kept;
         callers must not mutate it.
         """
         if self._adjacency is None:
-            index = self._index
+            names = self._names
             self._adjacency = {
-                v: tuple(sorted(
-                    [(c, True) for c in self._children[v]]
-                    + [(p, False) for p in self._parents[v]],
-                    key=lambda t: index[t[0]],
-                ))
-                for v in self._names
+                v: tuple([(names[j], bool(c >> j & 1)) for j in _bits(p | c)])
+                for v, p, c in zip(names, self._pmask, self._cmask)
             }
         return self._adjacency
 
     def topological_order(self) -> list[str]:
         """Every edge tail precedes its head; ties broken by declaration."""
-        return list(self._topo)
+        names = self._names
+        return [names[i] for i in self._order]
 
     # --- serialization -----------------------------------------------------
 
     def to_text(self) -> str:
         """Serialize in the line-oriented DAG file format."""
-        lines = [f"node {v} {self._kinds[v].value} {self._cards[v]}" for v in self._names]
+        nodes = zip(self._names, self._kinds, self._cards)
+        lines = [f"node {v} {k.value} {c}" for v, k, c in nodes]
         lines += [f"edge {t} -> {h}" for t, h in self._edges]
         return "\n".join(lines) + "\n"
 
 
-_KIND_WORDS = {k.value for k in NodeKind}
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return out
+
+
+DEFAULT_LAMBDA_CARD = 16
+
+
+def bell_dag(lambda_card: int = DEFAULT_LAMBDA_CARD) -> Dag:
+    """The two-wing DAG: X -> A <- Lambda -> B <- Y, with free settings."""
+    return Dag(
+        nodes=[
+            ("X", "setting", 2),
+            ("Y", "setting", 2),
+            ("A", "outcome", 2),
+            ("B", "outcome", 2),
+            ("Lambda", "latent", lambda_card),
+        ],
+        edges=[("X", "A"), ("Lambda", "A"), ("Lambda", "B"), ("Y", "B")],
+    )
+
+
 
 
 def _directive_lines(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -313,7 +371,7 @@ def parse_dag(text: str) -> Dag:
             if len(tokens) not in (3, 4):
                 raise DagParseError(lineno, "expected 'node <name> [<kind>] <cardinality>'")
             kind_word = tokens[2] if len(tokens) == 4 else "outcome"
-            if kind_word not in _KIND_WORDS:
+            if kind_word not in _KIND_OF:
                 raise DagParseError(lineno, f"unknown node kind {kind_word!r}")
             try:
                 card = int(tokens[-1])

@@ -4,15 +4,21 @@ Two per-path predicates are implemented: the classical blocking rule
 (chain/fork middles in Z block; colliders block unless activated by Z or
 a descendant in Z) and the typed setting/outcome rule whose three clauses
 only ever consult the *outcome* members of Z. Both set-level deciders run
-on one reachability sweep over (node, travel-direction) states, linear in
-the size of the graph. The typed rule never blocks at a non-collider and
-its endpoint clauses do not depend on the path, so it is the same sweep
-with no blockers plus a check on each (x, y) pair. When a query comes
-back "not separated", a lazy depth-first search returns the first open
-path in enumeration order as the witness, and so checks the sweep's
-verdict; it drops a prefix at its first closed node or as soon as the
-sweep shows no open trail leading on from it. Exhaustive path
-enumeration and the per-path predicates are kept as the oracle both
+on one reachability sweep over (node, travel-direction) states, the
+Bayes-Ball sweep (Shachter, UAI 1998; Geiger, Verma & Pearl, Networks 20,
+1990), linear in the size of the graph. It works on the graph's per-node
+parent, child and ancestor bit masks: the query becomes a blocker mask
+and an activator mask (a set plus its ancestors), and the states found
+are two masks, one per travel direction, grown a frontier at a time. The
+typed rule never blocks at a non-collider and its endpoint clauses do not
+depend on the path, so it is the same sweep with no blockers plus a mask
+of the x each y admits. When a query comes back "not separated", a lazy
+depth-first search returns the first open path in enumeration order as
+the witness, and so checks the sweep's verdict; it drops a prefix at its
+first closed node or as soon as the sweep's masks show no open trail
+leading on from it. ``compare_criteria`` needs only verdicts, so it runs
+one sweep per criterion for each (y, Z) and builds no witness. Exhaustive
+path enumeration and the per-path predicates are kept as the oracle both
 routes are tested against.
 
 All functions are pure over immutable graphs and safe to call
@@ -25,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .graph import CondQuery, Dag, GraphError, NodeKind
+from .graph import CondQuery, Dag, GraphError, NodeKind, _bits
 from .report import _align_columns
 
 
@@ -137,102 +143,119 @@ def path_d_blocked(g: Dag, p: UndirectedPath, z: frozenset[str] | set[str]) -> b
     return False
 
 
-def _with_ancestors(g: Dag, nodes: frozenset[str]) -> frozenset[str]:
-    """``nodes`` plus all their ancestors: the nodes that are in ``nodes``
+def _mask(index: dict[str, int], names) -> int:
+    """The bit mask of ``names``, which must all be in ``index``."""
+    m = 0
+    for v in names:
+        m |= 1 << index[v]
+    return m
+
+
+def _closed(amask: list[int], m: int) -> int:
+    """``m`` plus the ancestors of its members: the nodes that are in ``m``
     or have a descendant there."""
-    return nodes.union(*map(g.ancestors, nodes))
+    for i in _bits(m):
+        m |= amask[i]
+    return m
 
 
-def _states_reaching(g: Dag, y: str, blockers: frozenset[str],
-                     activators: frozenset[str]) -> set[tuple[str, bool]]:
+def _states_reaching(pmask: list[int], cmask: list[int], y: int, blockers: int,
+                     activators: int) -> tuple[int, int]:
     """The (node, direction) states from which a trail open at every
-    interior node reaches ``y``. A non-collider is open unless it is in
-    ``blockers``; a collider is open only when it is in ``activators``.
+    interior node reaches node ``y``, as two masks ``(up, down)``. A
+    non-collider is open unless it is in ``blockers``; a collider is open
+    only when it is in ``activators``.
 
-    State (v, True) means the trail entered v against an edge (from a
-    child) or starts at v; (v, False) means it entered v along an edge
-    (from a parent). The sweep runs the transitions of the (node,
-    direction) reachability algorithm backwards from ``y`` and expands each
-    state at most once, so its cost is linear in the size of the graph.
-    When ``activators`` is closed under ancestors, as it is for both
+    Node v is in ``up`` when a trail that entered v against an edge (from a
+    child), or starts at v, leads on to ``y``; it is in ``down`` when one
+    that entered v along an edge (from a parent) does. The sweep runs the
+    transitions of the (node, direction) reachability algorithm backwards
+    from ``y``, one frontier of newly found states at a time; each state
+    joins a frontier at most once, so its cost is linear in the size of the
+    graph. When ``activators`` is closed under ancestors, as it is for both
     criteria below, an open trail exists iff an open simple path does.
     """
-    adjacency = g._undirected_adjacency()
-    found = {(y, True), (y, False)}
-    agenda = list(found)
-    while agenda:
-        w, up = agenda.pop()
-        for v, is_child in adjacency[w]:
-            # a trail enters w "up" from a child and "down" from a parent;
-            # it passes v whichever way it entered v, or bounces up at an
-            # activated collider v
-            if is_child != up:
-                continue
-            passes = v not in blockers
-            if passes and (v, True) not in found:
-                found.add((v, True))
-                agenda.append((v, True))
-            if (v in activators if up else passes) and (v, False) not in found:
-                found.add((v, False))
-                agenda.append((v, False))
-    return found
+    up = down = new_up = new_down = 1 << y
+    while new_up or new_down:
+        # a trail enters w "up" from a child and "down" from a parent; it
+        # passes the node v it came from whichever way it entered v, or
+        # bounces up at an activated collider v
+        from_children = from_parents = 0
+        while new_up:
+            low = new_up & -new_up
+            new_up ^= low
+            from_children |= cmask[low.bit_length() - 1]
+        while new_down:
+            low = new_down & -new_down
+            new_down ^= low
+            from_parents |= pmask[low.bit_length() - 1]
+        new_up = (from_children | from_parents) & ~blockers & ~up
+        new_down = (from_children & activators | from_parents & ~blockers) & ~down
+        up |= new_up
+        down |= new_down
+    return up, down
 
 
-def _open_paths(g: Dag, x: str, y: str, blockers: frozenset[str],
-                activators: frozenset[str],
-                live: set[tuple[str, bool]]) -> Iterator[UndirectedPath]:
+def _open_paths(g: Dag, x: int, y: int, blockers: int, activators: int,
+                up: int, down: int) -> Iterator[UndirectedPath]:
     """Yield the simple x-y paths open at every interior node, under the
     rule of ``_states_reaching``, lazily and in ``enumerate_paths`` order.
 
-    An interior node's status depends only on its two path edges, so a
-    prefix is dropped as soon as its last interior node closes: every
-    path below it contains the same closed node. A prefix is also dropped
-    when it enters a state outside ``live``, the result of
+    An interior node's status depends only on its two path edges, so each
+    level of the search keeps only the neighbours it may go on to: a
+    prefix is dropped as soon as its last interior node closes, since
+    every path below it contains the same closed node, and as soon as it
+    enters a state outside ``(up, down)``, the result of
     ``_states_reaching`` for ``y``, since no open trail leads on from there.
     """
-    adjacency = g._undirected_adjacency()
-    nodes: list[str] = [x]
+    pmask, cmask, names = g._pmask, g._cmask, g._names
+    nodes = [x]
     dirs: list[bool] = []
-    on_path = {x}
-    frontier = [iter(adjacency[x])]
+    on_path = 1 << x
+    frontier = [pmask[x] & up | cmask[x] & down]
     while frontier:
-        for nxt, fwd in frontier[-1]:
-            if nxt in on_path:
-                continue
-            if dirs:
-                cur = nodes[-1]
-                if dirs[-1] and not fwd:
-                    if cur not in activators:
-                        continue
-                elif cur in blockers:
-                    continue
-            if nxt == y:
-                yield UndirectedPath((*nodes, nxt), (*dirs, fwd))
-                continue
-            if (nxt, not fwd) not in live:
-                continue
-            nodes.append(nxt)
-            dirs.append(fwd)
-            on_path.add(nxt)
-            frontier.append(iter(adjacency[nxt]))
-            break
-        else:
+        rest = frontier[-1]
+        if not rest:
             frontier.pop()
             if dirs:
-                on_path.discard(nodes.pop())
+                on_path ^= 1 << nodes.pop()
                 dirs.pop()
+            continue
+        low = rest & -rest
+        frontier[-1] = rest ^ low
+        nxt = low.bit_length() - 1
+        fwd = cmask[nodes[-1]] & low != 0
+        if nxt == y:
+            path = [names[i] for i in nodes]
+            path.append(names[y])
+            yield UndirectedPath(tuple(path), (*dirs, fwd))
+            continue
+        nodes.append(nxt)
+        dirs.append(fwd)
+        on_path |= low
+        # leaving nxt towards a parent makes it a collider iff it was
+        # entered along an edge; every other turn is a non-collider
+        to_parents = pmask[nxt] & up if (activators & low if fwd else not blockers & low) else 0
+        to_children = 0 if blockers & low else cmask[nxt] & down
+        frontier.append((to_parents | to_children) & ~on_path)
 
 
-def _decide(g: Dag, q: CondQuery, blockers: frozenset[str], activators: frozenset[str],
-            endpoints_open: Callable[[str, str], bool]) -> SeparationVerdict:
-    # One sweep per y decides every pair ending at y. Pairs are tried in
-    # declaration order; the first connected one gets the first open path
-    # of enumeration order as witness, and that search checks the sweep.
-    live = {y: _states_reaching(g, y, blockers, activators) for y in q.y}
-    for x in sorted(q.x, key=g.index):
-        for y in sorted(q.y, key=g.index):
-            if (x, True) in live[y] and endpoints_open(x, y):
-                for path in _open_paths(g, x, y, blockers, activators, live[y]):
+def _decide(g: Dag, q: CondQuery, blockers: int, activators: int,
+            ends_open: Callable[[int], int] | None = None) -> SeparationVerdict:
+    # One sweep per y decides every pair ending at y; ``ends_open(y)``, when
+    # given, masks out the x whose pair with y a clause on the endpoints
+    # alone makes inactive. Pairs are tried in declaration order; the first
+    # connected one gets the first open path of enumeration order as
+    # witness, and that search checks the sweep.
+    index = g._index
+    sweeps = []
+    for y in sorted([index[v] for v in q.y]):
+        up, down = _states_reaching(g._pmask, g._cmask, y, blockers, activators)
+        sweeps.append((y, up, down, up if ends_open is None else up & ends_open(y)))
+    for x in sorted([index[v] for v in q.x]):
+        for y, up, down, hits in sweeps:
+            if hits >> x & 1:
+                for path in _open_paths(g, x, y, blockers, activators, up, down):
                     return SeparationVerdict(False, path)
                 raise AssertionError("reachability sweep and path search disagree")
     return SeparationVerdict(True)
@@ -246,7 +269,8 @@ def d_separated(g: Dag, q: CondQuery) -> SeparationVerdict:
     first active path in enumeration order.
     """
     q.validate(g)
-    return _decide(g, q, q.z, _with_ancestors(g, q.z), lambda x, y: True)
+    z = _mask(g._index, q.z)
+    return _decide(g, q, z, _closed(g._ancestor_masks(), z))
 
 
 def path_q_inactive(g: Dag, p: UndirectedPath, z: frozenset[str] | set[str]) -> bool:
@@ -291,26 +315,36 @@ def q_separated(g: Dag, q: CondQuery) -> SeparationVerdict:
     of any kind; non-outcome members are simply invisible to the rule.
     """
     q.validate(g)
-    for name in sorted(q.x | q.y, key=g.index):
-        if g.kind(name) is NodeKind.LATENT:
-            raise GraphError(f"latent node {name!r} not allowed in a q-separation query")
-    z_outcomes = frozenset(m for m in q.z if g.kind(m) is NodeKind.OUTCOME)
+    index, kinds = g._index, g._kinds
+    for i in sorted([index[v] for v in q.x | q.y]):
+        if kinds[i] is NodeKind.LATENT:
+            raise GraphError(f"latent node {g._names[i]!r} not allowed in a q-separation query")
+    amask = g._ancestor_masks()
+    settings = _mask(index, [v for v in q.x | q.y if kinds[index[v]] is NodeKind.SETTING])
     # A node outside Z reaches an outcome in Z iff it lies in this set;
     # colliders are open only inside it and nothing else ever blocks.
-    reaches = _with_ancestors(g, z_outcomes)
+    reaches = _closed(amask, _mask(index, [v for v in q.z if kinds[index[v]] is NodeKind.OUTCOME]))
+    return _decide(g, q, 0, reaches, lambda y: _ends_open(y, settings, reaches, amask))
 
-    def endpoints_open(x: str, y: str) -> bool:
-        # clauses (i) and (ii) depend on the endpoints alone
-        kx, ky = g.kind(x), g.kind(y)
-        if kx is NodeKind.SETTING and ky is NodeKind.SETTING:
-            return x in reaches and y in reaches
-        if kx is NodeKind.SETTING:
-            return y in g.descendants(x) or x in reaches
-        if ky is NodeKind.SETTING:
-            return x in g.descendants(y) or y in reaches
-        return True
 
-    return _decide(g, q, frozenset(), reaches, endpoints_open)
+def _ends_open(y: int, settings: int, reaches: int, amask: list[int]) -> int:
+    """The nodes x whose paths to ``y`` clauses (i) and (ii) of the typed
+    rule leave alone; these clauses depend on the endpoints only.
+    ``reaches`` is the set of nodes with a directed path to an outcome in
+    Z, Z's outcomes included; the mask is meaningful only at x outside Z
+    that are settings or outcomes."""
+    if not settings >> y & 1:
+        # an outcome y: a setting x needs a directed path to y or to Z's outcomes
+        return ~settings | amask[y] | reaches
+    if reaches >> y & 1:
+        # a setting y with a directed path to Z's outcomes: a setting x needs one too
+        return ~settings | reaches
+    # a setting y without one: only the outcomes below y
+    below = 0
+    for j, a in enumerate(amask):
+        if a >> y & 1:
+            below |= 1 << j
+    return below & ~settings
 
 
 MAX_COMPARE_NODES = 12
@@ -364,19 +398,40 @@ def compare_criteria(g: Dag) -> CompareReport:
     setting/outcome nodes, with Z ranging over every subset of the
     remaining nodes (latent nodes included, so that rows like
     conditioning on a hidden common cause expose d/q disagreements).
+
+    A sweep depends only on (y, Z), so one sweep per criterion decides
+    every x outside Z; no witness is built.
     """
     if len(g) > MAX_COMPARE_NODES:
         raise GraphError(
             f"compare_criteria supports at most {MAX_COMPARE_NODES} nodes, got {len(g)}"
         )
-    endpoints = [v for v in g.names if g.kind(v) is not NodeKind.LATENT]
+    names, kinds, pmask, cmask = g._names, g._kinds, g._pmask, g._cmask
+    amask = g._ancestor_masks()
+    outcomes = _mask(g._index, g.nodes_of_kind(NodeKind.OUTCOME))
+    settings = _mask(g._index, g.nodes_of_kind(NodeKind.SETTING))
+    endpoints = [i for i, k in enumerate(kinds) if k is not NodeKind.LATENT]
+    # (y, Z mask) -> (nodes d-connected to y, nodes q-connected to y)
+    connected: dict[tuple[int, int], tuple[int, int]] = {}
     rows: list[CompareRow] = []
     for x, y in itertools.combinations(endpoints, 2):
-        rest = [w for w in g.names if w not in (x, y)]
-        for mask in range(1 << len(rest)):
-            z = tuple(w for i, w in enumerate(rest) if mask >> i & 1)
-            query = CondQuery({x}, {y}, z)
-            d = d_separated(g, query).separated
-            qv = q_separated(g, query).separated
-            rows.append(CompareRow(x, y, z, d, qv))
+        # every subset of the remaining nodes, in the order of the bits of
+        # a counter over them, as a name tuple and as a node mask
+        zs: list[tuple[str, ...]] = [()]
+        masks = [0]
+        for i in range(len(names)):
+            if i != x and i != y:
+                zs += [z + (names[i],) for z in zs]
+                masks += [m | 1 << i for m in masks]
+        for z, m in zip(zs, masks):
+            found = connected.get((y, m))
+            if found is None:
+                reaches = _closed(amask, m & outcomes)
+                found = connected[y, m] = (
+                    _states_reaching(pmask, cmask, y, m, _closed(amask, m))[0],
+                    _states_reaching(pmask, cmask, y, 0, reaches)[0]
+                    & _ends_open(y, settings, reaches, amask),
+                )
+            rows.append(CompareRow(names[x], names[y], z,
+                                   not found[0] >> x & 1, not found[1] >> x & 1))
     return CompareReport(tuple(rows))

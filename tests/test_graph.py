@@ -88,6 +88,20 @@ def test_reverse_declared_graph_sorts_by_declaration():
         assert g.topological_order() == _first_ready_order(g)
 
 
+def test_neighbour_views_follow_declaration_order():
+    # declared sinks first, edges listed in no particular order
+    g = Dag([(v, "outcome", 2) for v in ("E", "D", "C", "B", "A")],
+            [("A", "E"), ("C", "E"), ("B", "D"), ("A", "C"), ("B", "E"), ("A", "D")])
+    assert g.ordered_parents("E") == ("C", "B", "A")
+    assert g.ordered_parents("D") == ("B", "A")
+    assert g.ordered_children("A") == ("E", "D", "C")
+    assert g.ordered_children("B") == ("E", "D")
+    assert g.topological_order() == ["B", "A", "D", "C", "E"]
+    assert g.ancestors("E") == {"A", "B", "C"}
+    assert g.descendants("A") == {"C", "D", "E"}
+    assert g.edges[0] == ("A", "E")  # edges keep their own order
+
+
 def test_two_disjoint_cycles_report_the_first_declared_one():
     # the walk starts from F, the first declared node left over, and
     # climbs into the C/D cycle; the A/B/E cycle is declared later
@@ -155,6 +169,28 @@ def test_constructor_rejects_bad_input():
         Dag([("X", "outcome", 2)], [("X", "Y")])
     with pytest.raises(GraphError, match="latent"):
         Dag([("X", "outcome", 2), ("L", "latent", 2)], [("X", "L")])
+
+
+@pytest.mark.parametrize("nodes,edges,message", [
+    ([("X", "thing", 2)], [], "node 'X': unknown kind 'thing'"),
+    ([("X", "Setting", 2)], [], "node 'X': unknown kind 'Setting'"),
+    ([("X", 3, 2)], [], "node 'X': unknown kind 3"),
+    ([("X", ["setting"], 2)], [], "node 'X': unknown kind ['setting']"),
+    ([("X", "outcome", 2), ("Y", "outcome", 2)], [("X", "Y"), ("X", "Y")],
+     "duplicate edge 'X' -> 'Y'"),
+    ([("X", "outcome", 2)], [("X", "X")], "self-loop on 'X'"),
+    ([("X", "outcome", 2)], [("X", "W")], "unknown edge endpoint 'W'"),
+])
+def test_constructor_messages(nodes, edges, message):
+    with pytest.raises(GraphError) as exc:
+        Dag(nodes, edges)
+    assert str(exc.value) == message
+
+
+def test_kind_accepts_words_and_members():
+    g = Dag([("X", NodeKind.SETTING, 2), ("A", "outcome", 2)], [("X", "A")])
+    assert g.kind("X") is NodeKind.SETTING and g.kind("A") is NodeKind.OUTCOME
+    assert g == Dag([("X", "setting", 2), ("A", NodeKind.OUTCOME, 2)], [("X", "A")])
 
 
 def test_bell_structure_queries():

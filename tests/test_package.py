@@ -44,6 +44,7 @@ def test_package_and_cli_imports_skip_numpy():
     (["qsep", "{dag}", "--x", "A", "--y", "B", "--z", "Lambda"], False),
     (["compare", "{dag}"], False),
     (["bell-member", "{pr}"], True),  # control: the probe does see numpy
+    (["gen", "bell-dag"], False),
 ])
 def test_only_numpy_backed_verbs_import_numpy(inputs, argv, loads_numpy):
     argv = [a.format(dag=inputs / "bell.dag", pr=inputs / "pr.behavior") for a in argv]

@@ -157,6 +157,18 @@ def test_set_valued_queries(bell):
     assert not d_separated(bell, CondQuery({"X", "Lambda"}, {"A"})).separated
 
 
+def test_collider_activated_two_edges_below():
+    # x -> c <- y with c -> d -> e: only e is in Z, so the collider opens
+    # through an ancestor of Z that is not a parent of Z's member
+    g = Dag([(v, "outcome", 2) for v in ("x", "y", "c", "d", "e")],
+            [("x", "c"), ("y", "c"), ("c", "d"), ("d", "e")])
+    verdict = d_separated(g, CondQuery({"x"}, {"y"}, {"e"}))
+    assert not verdict.separated
+    assert str(verdict.witness) == "x->c<-y"
+    assert d_separated(g, CondQuery({"x"}, {"y"})).separated
+    assert d_separated(g, CondQuery({"x"}, {"e"}, {"d"})).separated
+
+
 # --- typed per-path rule ---------------------------------------------------------
 
 def test_q_setting_endpoints_inactive_without_outcomes_in_z(bell):
@@ -213,6 +225,20 @@ def test_qsep_allows_latent_conditioning(bell):
     # hidden variables may appear in Z; they are invisible to every clause
     assert not q_separated(bell, CondQuery({"A"}, {"B"}, {"Lambda"})).separated
     assert d_separated(bell, CondQuery({"A"}, {"B"}, {"Lambda"})).separated
+
+
+@pytest.mark.parametrize("end", ["outcome", "setting"])
+def test_qsep_collider_activated_two_edges_below(end):
+    # typed analogue of test_collider_activated_two_edges_below: the
+    # collider c, and for setting endpoints clause (i), reach the outcome e
+    # in Z only through d
+    g = Dag([("x", end, 2), ("y", end, 2), ("c", "outcome", 2),
+             ("d", "outcome", 2), ("e", "outcome", 2)],
+            [("x", "c"), ("y", "c"), ("c", "d"), ("d", "e")])
+    verdict = q_separated(g, CondQuery({"x"}, {"y"}, {"e"}))
+    assert not verdict.separated
+    assert str(verdict.witness) == "x->c<-y"
+    assert q_separated(g, CondQuery({"x"}, {"y"})).separated
 
 
 def test_qsep_witness_is_active():
@@ -373,6 +399,21 @@ def test_compare_edgeless_settings_both_separated():
 def test_compare_row_count(bell):
     # 6 endpoint pairs, each with 2^3 conditioning subsets
     assert len(compare_criteria(bell).rows) == 48
+
+
+def test_compare_rows_match_per_query_deciders():
+    # compare sweeps once per (y, Z) and builds no witness; every row must
+    # still equal the two set-level deciders asked one query at a time
+    rng = np.random.default_rng(47)
+    rows = 0
+    for _ in range(12):
+        g = random_typed_dag(rng, n_nodes=int(rng.integers(6, 9)))
+        for r in compare_criteria(g).rows:
+            q = CondQuery({r.x}, {r.y}, r.z)
+            assert (r.d_sep, r.q_sep) == (d_separated(g, q).separated,
+                                          q_separated(g, q).separated), (g.to_text(), r)
+            rows += 1
+    assert rows > 5000
 
 
 def test_compare_rejects_large_graphs():
