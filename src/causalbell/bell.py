@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import CiReport, JointTable, _check_eps, _stochastic, ci_holds
+from .distributions import CiReport, JointTable, _check_eps, _read_rows, _stochastic, ci_holds
 from .graph import DEFAULT_LAMBDA_CARD, CondQuery, GraphError, _directive_lines
 from .graph import bell_dag  # noqa: F401  (the scenario's DAG, also public here)
 from .report import AuditReport, CheckResult
@@ -271,12 +271,13 @@ def lhv_membership(b: Behavior, eps: float = 1e-9) -> MembershipVerdict:
     return MembershipVerdict(False, None, best_variant, values[best_variant], residual)
 
 
+# the variables of a behavior table's axes, in axis order
+_BEHAVIOR_AXES = (("A", 2), ("B", 2), ("X", 2), ("Y", 2))
+
+
 def behavior_joint(b: Behavior) -> JointTable:
     """Joint over (A, B, X, Y) with uniform setting priors."""
-    return JointTable(
-        (("A", 2), ("B", 2), ("X", 2), ("Y", 2)),
-        b.table * 0.25,
-    )
+    return JointTable(_BEHAVIOR_AXES, b.table * 0.25)
 
 
 def lhv_joint_table(m: LhvModel) -> JointTable:
@@ -285,10 +286,7 @@ def lhv_joint_table(m: LhvModel) -> JointTable:
         "l,lxa,lyb->abxyl", m.lambda_weights, m.response_a, m.response_b
     )
     lam = m.lambda_weights.size
-    return JointTable(
-        (("A", 2), ("B", 2), ("X", 2), ("Y", 2), ("Lambda", lam)),
-        probs,
-    )
+    return JointTable((*_BEHAVIOR_AXES, ("Lambda", lam)), probs)
 
 
 def quantum_causality_audit(b: Behavior, eps: float = 1e-9) -> AuditReport:
@@ -349,25 +347,8 @@ def parse_behavior(text: str) -> Behavior:
     Each setting pair's outcome table must sum to 1 within 1e-9 and is
     then renormalized exactly.
     """
-    table = np.full((2, 2, 2, 2), np.nan)
-    for lineno, tokens in _directive_lines(text):
-        if len(tokens) != 5:
-            raise GraphError(f"line {lineno}: expected 'a b x y prob'")
-        try:
-            a, bb, x, y = (int(t) for t in tokens[:4])
-            prob = float(tokens[4])
-        except ValueError:
-            raise GraphError(f"line {lineno}: malformed row") from None
-        if not all(v in (0, 1) for v in (a, bb, x, y)):
-            raise GraphError(f"line {lineno}: outcome/setting values must be 0 or 1")
-        if not math.isfinite(prob):
-            raise GraphError(f"line {lineno}: probability must be finite")
-        if prob < 0:
-            raise GraphError(f"line {lineno}: negative probability")
-        if not np.isnan(table[a, bb, x, y]):
-            raise GraphError(f"line {lineno}: duplicate assignment")
-        table[a, bb, x, y] = prob
-    if np.isnan(table).any():
+    table = np.zeros((2, 2, 2, 2))
+    if _read_rows(_directive_lines(text), _BEHAVIOR_AXES, table) < table.size:
         raise GraphError("behavior file is missing assignments")
     table /= _stochastic(table, "behavior file", axes=(0, 1), tol=1e-9).sum(axis=(0, 1))
     return Behavior(table)

@@ -118,6 +118,9 @@ def _validate_flags(args: argparse.Namespace) -> None:
     variant = getattr(args, "variant", None)
     if variant is not None and not 0 <= variant <= 7:
         raise GraphError(f"variant must be in 0..7, got {variant}")
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        raise GraphError(f"seed must be non-negative, got {seed}")
     lambda_card = getattr(args, "lambda_card", None)
     if lambda_card is not None and lambda_card < 1:
         raise GraphError("lambda cardinality must be positive")

@@ -491,39 +491,18 @@ def format_distribution(p: JointTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_distribution(text: str) -> JointTable:
-    """Parse the distribution file format; omitted assignments are zero.
+def _read_rows(lines: Iterable[tuple[int, list[str]]],
+               variables: Sequence[tuple[str, int]], probs: np.ndarray) -> int:
+    """Write each row of a probability table into ``probs`` and return the
+    number of rows.
 
-    The entry sum must land within 1e-9 of 1; the table is then
-    renormalized so downstream arithmetic sees an exact distribution.
+    A row is one value per variable, in the order of ``variables``, then
+    a probability; ``probs`` is indexed by the values. A row fails on its
+    token count, an unparsable token, a value out of its variable's range,
+    a non-finite or negative probability, or an assignment seen before.
     """
-    variables: list[tuple[str, int]] | None = None
-    probs: np.ndarray | None = None
     seen: set[tuple[int, ...]] = set()
-    for lineno, tokens in _directive_lines(text):
-        if variables is None:
-            if tokens[0] != "vars":
-                raise GraphError(f"line {lineno}: expected 'vars' header")
-            variables = []
-            for tok in tokens[1:]:
-                if ":" not in tok:
-                    raise GraphError(f"line {lineno}: expected name:cardinality, got {tok!r}")
-                name, _, card_word = tok.partition(":")
-                try:
-                    card = int(card_word)
-                except ValueError:
-                    raise GraphError(f"line {lineno}: bad cardinality in {tok!r}") from None
-                if not name.isidentifier() or card < 1:
-                    raise GraphError(f"line {lineno}: bad variable declaration {tok!r}")
-                variables.append((name, card))
-            if not variables:
-                raise GraphError(f"line {lineno}: empty variable list")
-            size = math.prod(c for _, c in variables)
-            if size > MAX_TABLE_CELLS:
-                raise GraphError(
-                    f"line {lineno}: table of {size} cells exceeds the {MAX_TABLE_CELLS} cap")
-            probs = np.zeros(tuple(c for _, c in variables))
-            continue
+    for lineno, tokens in lines:
         if len(tokens) != len(variables) + 1:
             raise GraphError(f"line {lineno}: expected {len(variables)} values and a probability")
         try:
@@ -533,7 +512,9 @@ def parse_distribution(text: str) -> JointTable:
             raise GraphError(f"line {lineno}: malformed row") from None
         for v, (name, card) in zip(values, variables):
             if not 0 <= v < card:
-                raise GraphError(f"line {lineno}: value {v} out of range for {name!r}")
+                span = "0 or 1" if card == 2 else f"0 to {card - 1}"
+                raise GraphError(
+                    f"line {lineno}: value {v} out of range for {name!r}, must be {span}")
         if not math.isfinite(prob):
             raise GraphError(f"line {lineno}: probability must be finite")
         if prob < 0:
@@ -542,7 +523,40 @@ def parse_distribution(text: str) -> JointTable:
             raise GraphError(f"line {lineno}: duplicate assignment")
         seen.add(values)
         probs[values] = prob
-    if variables is None or probs is None:
+    return len(seen)
+
+
+def parse_distribution(text: str) -> JointTable:
+    """Parse the distribution file format; omitted assignments are zero.
+
+    The entry sum must land within 1e-9 of 1; the table is then
+    renormalized so downstream arithmetic sees an exact distribution.
+    """
+    lines = _directive_lines(text)
+    first = next(lines, None)
+    if first is None:
         raise GraphError("missing 'vars' header")
+    lineno, tokens = first
+    if tokens[0] != "vars":
+        raise GraphError(f"line {lineno}: expected 'vars' header")
+    variables: list[tuple[str, int]] = []
+    for tok in tokens[1:]:
+        if ":" not in tok:
+            raise GraphError(f"line {lineno}: expected name:cardinality, got {tok!r}")
+        name, _, card_word = tok.partition(":")
+        try:
+            card = int(card_word)
+        except ValueError:
+            raise GraphError(f"line {lineno}: bad cardinality in {tok!r}") from None
+        if not name.isidentifier() or card < 1:
+            raise GraphError(f"line {lineno}: bad variable declaration {tok!r}")
+        variables.append((name, card))
+    if not variables:
+        raise GraphError(f"line {lineno}: empty variable list")
+    size = math.prod(c for _, c in variables)
+    if size > MAX_TABLE_CELLS:
+        raise GraphError(f"line {lineno}: table of {size} cells exceeds the {MAX_TABLE_CELLS} cap")
+    probs = np.zeros(tuple(c for _, c in variables))
+    _read_rows(lines, variables, probs)
     probs /= _stochastic(probs, "distribution", tol=1e-9).sum()
     return JointTable(tuple(variables), probs)

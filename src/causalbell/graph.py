@@ -11,9 +11,10 @@ Internally node i is the bit ``1 << i`` of a Python int, i its declaration
 index, and the edges are one parent mask and one child mask per node, so
 ascending bit order is declaration order. Construction fills the masks,
 checks duplicate edges with a bit test and sorts topologically with
-Kahn's algorithm on a mask of ready nodes. Ancestor masks, the name-level
-parent and child tuples and the undirected adjacency are built from the
-masks on first use and kept.
+Kahn's algorithm on a mask of ready nodes. The two closures of the edge
+masks, ancestor and descendant masks, are built on first use and kept;
+they and the edge masks are the only structure a graph holds, and every
+name-level view reads one mask and names its members.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class Dag:
 
     __slots__ = (
         "_names", "_index", "_kinds", "_cards", "_pmask", "_cmask", "_edges", "_order",
-        "_amask", "_closures", "_parents", "_children", "_adjacency",
+        "_amask", "_dmask",
     )
 
     def __init__(
@@ -122,10 +123,7 @@ class Dag:
         self._edges = tuple(edge_list)
         self._order = self._toposort()
         self._amask: list[int] | None = None
-        self._closures: dict[tuple[str, bool], frozenset[str]] | None = None
-        self._parents: list[tuple[str, ...]] | None = None
-        self._children: list[tuple[str, ...]] | None = None
-        self._adjacency: dict[str, tuple[tuple[str, bool], ...]] | None = None
+        self._dmask: list[int] | None = None
 
     def _toposort(self) -> list[int]:
         # Kahn's algorithm on a mask of ready nodes: always emit the lowest
@@ -225,75 +223,43 @@ class Dag:
 
     def ordered_parents(self, name: str) -> tuple[str, ...]:
         """Parents sorted by declaration order (stable CPT axis order)."""
-        if self._parents is None:
-            self._parents = self._named(self._pmask)
-        return self._parents[self.index(name)]
+        return self._members(self._pmask[self.index(name)])
 
     def ordered_children(self, name: str) -> tuple[str, ...]:
-        if self._children is None:
-            self._children = self._named(self._cmask)
-        return self._children[self.index(name)]
-
-    def _named(self, masks: list[int]) -> list[tuple[str, ...]]:
-        # each mask's members by name, in declaration order
-        names = self._names
-        return [tuple([names[i] for i in _bits(m)]) for m in masks]
+        return self._members(self._cmask[self.index(name)])
 
     def ancestors(self, name: str) -> frozenset[str]:
         """Transitive closure of parents; does not include the node itself."""
-        return self._closure(name, True)
+        return frozenset(self._members(self._ancestor_masks()[self.index(name)]))
 
     def descendants(self, name: str) -> frozenset[str]:
         """All nodes that have ``name`` as an ancestor."""
-        return self._closure(name, False)
+        return frozenset(self._members(self._descendant_masks()[self.index(name)]))
 
-    def _closure(self, name: str, up: bool) -> frozenset[str]:
-        # Ancestors (up) or descendants of ``name``, cached per node.
-        i = self.index(name)
-        if self._closures is None:
-            self._closures = {}
-        cached = self._closures.get((name, up))
-        if cached is None:
-            amask = self._ancestor_masks()
-            if up:
-                members = _bits(amask[i])
-            else:
-                members = [j for j, a in enumerate(amask) if a >> i & 1]
-            cached = self._closures[name, up] = frozenset([self._names[j] for j in members])
-        return cached
+    def _members(self, mask: int) -> tuple[str, ...]:
+        # the names of the nodes in ``mask``, in declaration order
+        names = self._names
+        return tuple([names[i] for i in _bits(mask)])
 
     def _ancestor_masks(self) -> list[int]:
         """Each node's ancestors as a mask, in declaration order.
 
-        Package-internal: built in one pass over the topological order on
-        first use and kept; callers must not mutate it.
+        Package-internal: the parent masks closed along the topological
+        order on first use and kept; callers must not mutate it.
         """
         if self._amask is None:
-            pmask = self._pmask
-            amask = [0] * len(pmask)
-            for i in self._order:
-                a = pmask[i]
-                for j in _bits(a):
-                    a |= amask[j]
-                amask[i] = a
-            self._amask = amask
+            self._amask = _close_along(self._pmask, self._order)
         return self._amask
 
-    def _undirected_adjacency(self) -> dict[str, tuple[tuple[str, bool], ...]]:
-        """Every node's neighbours in declaration order, each tagged True
-        for a child and False for a parent.
+    def _descendant_masks(self) -> list[int]:
+        """Each node's descendants as a mask, in declaration order.
 
-        Package-internal: path enumeration reads it once per call instead
-        of validating each neighbour's name. Built on first use and kept;
-        callers must not mutate it.
+        Package-internal: the child masks closed along the reversed
+        topological order on first use and kept; callers must not mutate it.
         """
-        if self._adjacency is None:
-            names = self._names
-            self._adjacency = {
-                v: tuple([(names[j], bool(c >> j & 1)) for j in _bits(p | c)])
-                for v, p, c in zip(names, self._pmask, self._cmask)
-            }
-        return self._adjacency
+        if self._dmask is None:
+            self._dmask = _close_along(self._cmask, self._order[::-1])
+        return self._dmask
 
     def topological_order(self) -> list[str]:
         """Every edge tail precedes its head; ties broken by declaration."""
@@ -308,6 +274,18 @@ class Dag:
         lines = [f"node {v} {k.value} {c}" for v, k, c in nodes]
         lines += [f"edge {t} -> {h}" for t, h in self._edges]
         return "\n".join(lines) + "\n"
+
+
+def _close_along(masks: list[int], order: Iterable[int]) -> list[int]:
+    """The transitive closure of the relation whose node i relates to the
+    members of ``masks[i]``; ``order`` lists each node after all of them."""
+    closed = [0] * len(masks)
+    for i in order:
+        m = masks[i]
+        for j in _bits(m):
+            m |= closed[j]
+        closed[i] = m
+    return closed
 
 
 def _bits(mask: int) -> list[int]:

@@ -69,7 +69,8 @@ class UndirectedPath:
         """Raise GraphError unless every step is an actual edge of ``g``."""
         for a, fwd, b in zip(self.nodes, self.forward, self.nodes[1:]):
             tail, head = (a, b) if fwd else (b, a)
-            if head not in g.ordered_children(tail):
+            children = g._cmask[g.index(tail)]
+            if head not in g or not children >> g.index(head) & 1:
                 raise GraphError(f"path step {a}{'->' if fwd else '<-'}{b} is not an edge")
 
     def colliders(self) -> tuple[str, ...]:
@@ -95,32 +96,28 @@ def enumerate_paths(g: Dag, u: str, v: str) -> list[UndirectedPath]:
     worst case; the deciders never call it, the tests use it as the
     oracle for their verdicts and witnesses.
     """
-    g.index(u)
-    g.index(v)
+    start = g.index(u)
+    end = g.index(v)
     if u == v:
         raise GraphError("path endpoints must differ")
-    adjacency = g._undirected_adjacency()
+    pmask, cmask, names = g._pmask, g._cmask, g._names
     out: list[UndirectedPath] = []
     nodes: list[str] = [u]
     dirs: list[bool] = []
-    on_path = {u}
 
-    def extend(cur: str) -> None:
-        for nxt, fwd in adjacency[cur]:
-            if nxt in on_path:
-                continue
-            nodes.append(nxt)
-            dirs.append(fwd)
-            if nxt == v:
+    def extend(cur: int, on_path: int) -> None:
+        children = cmask[cur]
+        for nxt in _bits((pmask[cur] | children) & ~on_path):
+            nodes.append(names[nxt])
+            dirs.append(bool(children >> nxt & 1))
+            if nxt == end:
                 out.append(UndirectedPath(tuple(nodes), tuple(dirs)))
             else:
-                on_path.add(nxt)
-                extend(nxt)
-                on_path.discard(nxt)
+                extend(nxt, on_path | 1 << nxt)
             nodes.pop()
             dirs.pop()
 
-    extend(u)
+    extend(start, 1 << start)
     return out
 
 
@@ -319,15 +316,15 @@ def q_separated(g: Dag, q: CondQuery) -> SeparationVerdict:
     for i in sorted([index[v] for v in q.x | q.y]):
         if kinds[i] is NodeKind.LATENT:
             raise GraphError(f"latent node {g._names[i]!r} not allowed in a q-separation query")
-    amask = g._ancestor_masks()
     settings = _mask(index, [v for v in q.x | q.y if kinds[index[v]] is NodeKind.SETTING])
     # A node outside Z reaches an outcome in Z iff it lies in this set;
     # colliders are open only inside it and nothing else ever blocks.
-    reaches = _closed(amask, _mask(index, [v for v in q.z if kinds[index[v]] is NodeKind.OUTCOME]))
-    return _decide(g, q, 0, reaches, lambda y: _ends_open(y, settings, reaches, amask))
+    z_outcomes = _mask(index, [v for v in q.z if kinds[index[v]] is NodeKind.OUTCOME])
+    reaches = _closed(g._ancestor_masks(), z_outcomes)
+    return _decide(g, q, 0, reaches, lambda y: _ends_open(g, y, settings, reaches))
 
 
-def _ends_open(y: int, settings: int, reaches: int, amask: list[int]) -> int:
+def _ends_open(g: Dag, y: int, settings: int, reaches: int) -> int:
     """The nodes x whose paths to ``y`` clauses (i) and (ii) of the typed
     rule leave alone; these clauses depend on the endpoints only.
     ``reaches`` is the set of nodes with a directed path to an outcome in
@@ -335,16 +332,12 @@ def _ends_open(y: int, settings: int, reaches: int, amask: list[int]) -> int:
     that are settings or outcomes."""
     if not settings >> y & 1:
         # an outcome y: a setting x needs a directed path to y or to Z's outcomes
-        return ~settings | amask[y] | reaches
+        return ~settings | g._ancestor_masks()[y] | reaches
     if reaches >> y & 1:
         # a setting y with a directed path to Z's outcomes: a setting x needs one too
         return ~settings | reaches
     # a setting y without one: only the outcomes below y
-    below = 0
-    for j, a in enumerate(amask):
-        if a >> y & 1:
-            below |= 1 << j
-    return below & ~settings
+    return g._descendant_masks()[y] & ~settings
 
 
 MAX_COMPARE_NODES = 12
@@ -430,7 +423,7 @@ def compare_criteria(g: Dag) -> CompareReport:
                 found = connected[y, m] = (
                     _states_reaching(pmask, cmask, y, m, _closed(amask, m))[0],
                     _states_reaching(pmask, cmask, y, 0, reaches)[0]
-                    & _ends_open(y, settings, reaches, amask),
+                    & _ends_open(g, y, settings, reaches),
                 )
             rows.append(CompareRow(names[x], names[y], z,
                                    not found[0] >> x & 1, not found[1] >> x & 1))

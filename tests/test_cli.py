@@ -251,6 +251,15 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert run(["gen", "random-compatible", "--seed", "1"]) == 2  # --dag required
     err = capsys.readouterr().err
     assert "requires --seed" in err
+    # a negative seed is bad input, caught before any file is read
+    missing = str(tmp_path / "nope")
+    for argv in (["gen", "random-lhv", "--seed", "-1"],
+                 ["gen", "random-compatible", "--dag", missing, "--seed", "-5"],
+                 ["graphoid", missing, "--trials", "3", "--seed", "-2"]):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "seed" in captured.err, argv
+        assert not captured.out, argv
 
 
 def test_bad_tolerance_rejected_before_reading_files(tmp_path, capsys):

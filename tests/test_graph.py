@@ -255,6 +255,30 @@ def test_structural_invariants_random():
         _check_invariants(random_typed_dag(rng, n_nodes=6))
 
 
+def test_relation_views_match_the_edge_list_on_all_small_dags():
+    def closure(v, step):
+        found, todo = set(), list(step[v])
+        while todo:
+            w = todo.pop()
+            if w not in found:
+                found.add(w)
+                todo += step[w]
+        return found
+
+    for n in range(5):
+        for g in all_dags(n):
+            parents = {v: [t for t, h in g.edges if h == v] for v in g.names}
+            children = {v: [h for t, h in g.edges if t == v] for v in g.names}
+            for v in g.names:
+                assert g.ordered_parents(v) == tuple(sorted(parents[v], key=g.index))
+                assert g.ordered_children(v) == tuple(sorted(children[v], key=g.index))
+                assert g.parents(v) == set(parents[v])
+                assert g.children(v) == set(children[v])
+                assert g.ancestors(v) == closure(v, parents)
+                assert g.descendants(v) == closure(v, children)
+                assert g.descendants(v) == {w for w in g.names if v in g.ancestors(w)}
+
+
 def _check_invariants(g: Dag) -> None:
     order = g.topological_order()
     assert sorted(order) == sorted(g.names)

@@ -34,6 +34,28 @@ def test_bell_has_one_path_between_outcomes(bell):
     assert [str(p) for p in paths] == ["A<-Lambda->B"]
 
 
+def test_enumerate_paths_matches_networkx_simple_paths():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(47)
+    total = 0
+    for _ in range(60):
+        g = random_typed_dag(rng, n_nodes=int(rng.integers(8, 11)), edge_prob=0.6)
+        # edges sorted by their endpoints' declaration indices give every
+        # node its neighbours in declaration order, so networkx's DFS
+        # yields the paths in enumeration order
+        ug = nx.Graph()
+        ug.add_nodes_from(g.names)
+        ug.add_edges_from(sorted(g.edges, key=lambda e: sorted(map(g.index, e))))
+        u, v = (str(w) for w in rng.choice(g.names, size=2, replace=False))
+        paths = enumerate_paths(g, u, v)
+        for p in paths:
+            p.check_in(g)
+        got = [p.nodes for p in paths]
+        assert got == [tuple(p) for p in nx.all_simple_paths(ug, u, v)]
+        total += len(got)
+    assert total > 2000
+
+
 def test_isolated_nodes_have_no_paths():
     g = Dag([("P", "outcome", 2), ("Q", "outcome", 2)])
     assert enumerate_paths(g, "P", "Q") == []
