@@ -46,59 +46,10 @@ _LAZY = {
 }
 
 __all__ = [
-    "AuditReport",
-    "Behavior",
-    "CHSH_ANGLES",
-    "CheckResult",
-    "CiReport",
-    "CompareReport",
-    "CondQuery",
-    "ConditionalTable",
-    "CycleError",
-    "Dag",
-    "DagParseError",
-    "GraphError",
-    "JointTable",
-    "LhvModel",
-    "MembershipVerdict",
-    "NodeKind",
-    "RpccReport",
-    "SeparationVerdict",
-    "UndirectedPath",
-    "behavior_from_lhv",
-    "behavior_joint",
-    "bell_dag",
-    "causal_completeness_check",
-    "causal_markov_check",
-    "chain_factorize",
-    "chsh_value",
-    "ci_holds",
-    "compare_criteria",
-    "compatible",
-    "correlators",
-    "d_separated",
-    "deterministic_strategies",
-    "enumerate_paths",
-    "format_behavior",
-    "format_distribution",
-    "graphoid_audit",
-    "joint_from_tables",
-    "lhv_joint_table",
-    "lhv_membership",
-    "no_signalling_check",
-    "parse_behavior",
-    "parse_dag",
-    "parse_distribution",
-    "path_d_blocked",
-    "path_q_inactive",
-    "pr_box",
-    "q_separated",
-    "quantum_causality_audit",
-    "random_compatible",
-    "random_conditional_tables",
-    "random_lhv",
-    "reichenbach_check",
-    "singlet_behavior",
+    "AuditReport", "CheckResult", "CompareReport", "CondQuery", "CycleError", "Dag",
+    "DagParseError", "GraphError", "NodeKind", "SeparationVerdict", "UndirectedPath",
+    "bell_dag", "compare_criteria", "d_separated", "enumerate_paths", "parse_dag",
+    "path_d_blocked", "path_q_inactive", "q_separated", *_LAZY,
 ]
 
 

@@ -5,6 +5,14 @@ Exit status carries the verdict: 0 for the affirmative answer
 usage or input problems. All randomized commands require an explicit
 seed and reports are byte-stable across runs for equal inputs.
 
+Each verb is declared once, by one `verb(...)` call in `_parser()`: its
+subparser, its input files (`dag`, `dist`, `behavior`) with their help
+from `_INPUT_HELP`, its own flags, `--eps` when it takes a tolerance,
+and its handler, which `run` calls after `_validate_flags`. A handler
+loads its inputs with `_load`, asks the library for a report and hands
+the text and the affirmative flag to `_verdict`, which writes the text
+and returns the exit status.
+
 Only the graph layers load with this module. The handlers that need the
 numpy-backed `bell` or `distributions` layer import it themselves, so
 `dsep`, `qsep` and `compare` never import numpy.
@@ -32,6 +40,9 @@ def _node_list(raw: str) -> list[str]:
     return [part.strip() for part in raw.split(",") if part.strip()]
 
 
+_INPUT_HELP = {"dag": "DAG file", "dist": "distribution file", "behavior": "behavior file"}
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="causalbell",
@@ -39,72 +50,49 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_eps(p):
-        p.add_argument("--eps", type=float, default=1e-9, help="tolerance (default 1e-9)")
-
-    def add_sep(name, help_text):
+    def verb(name, help_text, handler, *inputs, eps=False, flags=None):
+        """Declare a verb: its input files, its own ``flags`` (argument name
+        to ``add_argument`` keywords), then ``--eps``, and its handler."""
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("dag", help="DAG file")
-        p.add_argument("--x", required=True, help="comma-separated node list")
-        p.add_argument("--y", required=True, help="comma-separated node list")
-        p.add_argument("--z", default="", help="comma-separated node list, may be empty")
-        return p
+        for key in inputs:
+            p.add_argument(key, help=_INPUT_HELP[key])
+        for flag, kwargs in (flags or {}).items():
+            p.add_argument(flag, **kwargs)
+        if eps:
+            p.add_argument("--eps", type=float, default=1e-9, help="tolerance (default 1e-9)")
+        p.set_defaults(run=handler)
 
-    add_sep("dsep", "classical separation query")
-    add_sep("qsep", "typed setting/outcome separation query")
-
-    p = sub.add_parser("compare", help="tabulate both criteria over all small queries")
-    p.add_argument("dag")
-    p.add_argument("--csv", action="store_true", help="emit comma-separated rows")
-
-    for name, help_text in (
-        ("compat", "graph compatibility audit"),
-        ("markov", "parent screening audit"),
-        ("complete", "ancestor screening audit"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("dag")
-        p.add_argument("dist", help="distribution file")
-        add_eps(p)
-
-    p = sub.add_parser("rpcc", help="common-cause screening classification")
-    p.add_argument("dag")
-    p.add_argument("dist")
-    p.add_argument("--x", required=True, help="one node")
-    p.add_argument("--y", required=True, help="one node")
-    add_eps(p)
-
-    p = sub.add_parser("graphoid", help="randomized closure-axiom audit")
-    p.add_argument("dist")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    add_eps(p)
-
-    p = sub.add_parser("bell-chsh", help="evaluate the correlator facets")
-    p.add_argument("behavior")
-    p.add_argument("--variant", type=int, default=None, help="single variant 0..7")
-    add_eps(p)
-
-    p = sub.add_parser("bell-member", help="local-set membership")
-    p.add_argument("behavior")
-    add_eps(p)
-
-    p = sub.add_parser("bell-nosig", help="no-signalling audit")
-    p.add_argument("behavior")
-    add_eps(p)
-
-    p = sub.add_parser("bell-qcc", help="outcome-independence audit")
-    p.add_argument("behavior")
-    add_eps(p)
-
-    p = sub.add_parser("gen", help="write a canonical input file")
-    p.add_argument("kind", choices=["bell-dag", "singlet", "pr-box", "random-lhv",
-                                    "random-compatible"])
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--angles", default=None, help="four comma-separated radians")
-    p.add_argument("--lambda-card", type=int, default=None)
-    p.add_argument("--dag", default=None, help="DAG file (random-compatible)")
+    nodes = {"required": True, "help": "comma-separated node list"}
+    sep_flags = {"--x": nodes, "--y": nodes,
+                 "--z": {"default": "", "help": "comma-separated node list, may be empty"}}
+    verb("dsep", "classical separation query", _cmd_separation, "dag", flags=sep_flags)
+    verb("qsep", "typed setting/outcome separation query", _cmd_separation, "dag",
+         flags=sep_flags)
+    verb("compare", "tabulate both criteria over all small queries", _cmd_compare, "dag",
+         flags={"--csv": {"action": "store_true", "help": "emit comma-separated rows"}})
+    verb("compat", "graph compatibility audit", _cmd_dist_audit, "dag", "dist", eps=True)
+    verb("markov", "parent screening audit", _cmd_dist_audit, "dag", "dist", eps=True)
+    verb("complete", "ancestor screening audit", _cmd_dist_audit, "dag", "dist", eps=True)
+    node = {"required": True, "help": "one node"}
+    verb("rpcc", "common-cause screening classification", _cmd_rpcc, "dag", "dist", eps=True,
+         flags={"--x": node, "--y": node})
+    verb("graphoid", "randomized closure-axiom audit", _cmd_graphoid, "dist", eps=True,
+         flags={"--trials": {"type": int, "required": True},
+                "--seed": {"type": int, "required": True}})
+    verb("bell-chsh", "evaluate the correlator facets", _cmd_bell_chsh, "behavior", eps=True,
+         flags={"--variant": {"type": int, "default": None, "help": "single variant 0..7"}})
+    verb("bell-member", "local-set membership", _cmd_bell_member, "behavior", eps=True)
+    verb("bell-nosig", "no-signalling audit", _cmd_behavior_audit, "behavior", eps=True)
+    verb("bell-qcc", "outcome-independence audit", _cmd_behavior_audit, "behavior", eps=True)
+    verb("gen", "write a canonical input file", _cmd_gen, flags={
+        "kind": {"choices": ["bell-dag", "singlet", "pr-box", "random-lhv",
+                             "random-compatible"]},
+        "--out": {"default": None, "help": "output path (default stdout)"},
+        "--seed": {"type": int, "default": None},
+        "--angles": {"default": None, "help": "four comma-separated radians"},
+        "--lambda-card": {"type": int, "default": None},
+        "--dag": {"default": None, "help": "DAG file (random-compatible)"},
+    })
     return parser
 
 
@@ -173,24 +161,25 @@ def _single_node(raw: str, flag: str) -> str:
     return nodes[0]
 
 
+def _verdict(text: str, affirmative: bool) -> int:
+    """Write a verb's report to stdout; the exit status is the verdict."""
+    sys.stdout.write(text)
+    return PASS if affirmative else FAIL
+
+
 def _cmd_separation(args: argparse.Namespace) -> int:
     g = _load(parse_dag, args.dag)
     query = CondQuery(_node_list(args.x), _node_list(args.y), _node_list(args.z))
     decide = separation.d_separated if args.verb == "dsep" else separation.q_separated
     verdict = decide(g, query)
-    if verdict.separated:
-        print("separated")
-        return PASS
-    print("not separated")
-    print(f"witness: {verdict.witness}")
-    return FAIL
+    text = "separated\n" if verdict.separated else f"not separated\nwitness: {verdict.witness}\n"
+    return _verdict(text, verdict.separated)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     g = _load(parse_dag, args.dag)
     report = separation.compare_criteria(g)
-    sys.stdout.write(report.to_csv() if args.csv else report.to_text())
-    return PASS if not report.disagreements else FAIL
+    return _verdict(report.to_csv() if args.csv else report.to_text(), not report.disagreements)
 
 
 def _cmd_dist_audit(args: argparse.Namespace) -> int:
@@ -204,8 +193,7 @@ def _cmd_dist_audit(args: argparse.Namespace) -> int:
         "complete": distributions.causal_completeness_check,
     }[args.verb]
     report = fn(p, g, args.eps)
-    sys.stdout.write(report.to_text())
-    return PASS if report.passed else FAIL
+    return _verdict(report.to_text(), report.passed)
 
 
 def _cmd_rpcc(args: argparse.Namespace) -> int:
@@ -216,8 +204,7 @@ def _cmd_rpcc(args: argparse.Namespace) -> int:
     report = distributions.reichenbach_check(
         p, g, _single_node(args.x, "--x"), _single_node(args.y, "--y"), args.eps
     )
-    sys.stdout.write(report.to_text())
-    return FAIL if report.verdict == distributions.VIOLATES_RPCC else PASS
+    return _verdict(report.to_text(), report.verdict != distributions.VIOLATES_RPCC)
 
 
 def _cmd_graphoid(args: argparse.Namespace) -> int:
@@ -225,8 +212,7 @@ def _cmd_graphoid(args: argparse.Namespace) -> int:
 
     p = _load(distributions.parse_distribution, args.dist)
     report = distributions.graphoid_audit(p, args.eps, args.trials, args.seed)
-    sys.stdout.write(report.to_text())
-    return PASS if report.passed else FAIL
+    return _verdict(report.to_text(), report.passed)
 
 
 def _cmd_bell_chsh(args: argparse.Namespace) -> int:
@@ -234,12 +220,9 @@ def _cmd_bell_chsh(args: argparse.Namespace) -> int:
 
     b = _load(bell.parse_behavior, args.behavior)
     variants = range(8) if args.variant is None else [args.variant]
-    worst = -math.inf
-    for v in variants:
-        value = bell.chsh_value(b, v)
-        worst = max(worst, value)
-        print(f"variant {v}: S = {value:.9f}")
-    return FAIL if worst > 2.0 + args.eps else PASS
+    values = [bell.chsh_value(b, v) for v in variants]
+    text = "".join(f"variant {v}: S = {s:.9f}\n" for v, s in zip(variants, values))
+    return _verdict(text, max(values) <= 2.0 + args.eps)
 
 
 def _cmd_bell_member(args: argparse.Namespace) -> int:
@@ -247,26 +230,19 @@ def _cmd_bell_member(args: argparse.Namespace) -> int:
 
     b = _load(bell.parse_behavior, args.behavior)
     verdict = bell.lhv_membership(b, args.eps)
-    sys.stdout.write(verdict.to_text())
-    return PASS if verdict.local else FAIL
+    return _verdict(verdict.to_text(), verdict.local)
 
 
-def _cmd_bell_nosig(args: argparse.Namespace) -> int:
+def _cmd_behavior_audit(args: argparse.Namespace) -> int:
     from . import bell
 
     b = _load(bell.parse_behavior, args.behavior)
-    report = bell.no_signalling_check(b, args.eps)
-    sys.stdout.write(report.to_text())
-    return PASS if report.passed else FAIL
-
-
-def _cmd_bell_qcc(args: argparse.Namespace) -> int:
-    from . import bell
-
-    b = _load(bell.parse_behavior, args.behavior)
-    report = bell.quantum_causality_audit(b, args.eps)
-    sys.stdout.write(report.to_text())
-    return PASS if report.passed else FAIL
+    fn = {
+        "bell-nosig": bell.no_signalling_check,
+        "bell-qcc": bell.quantum_causality_audit,
+    }[args.verb]
+    report = fn(b, args.eps)
+    return _verdict(report.to_text(), report.passed)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -292,23 +268,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return PASS
 
 
-_COMMANDS = {
-    "dsep": _cmd_separation,
-    "qsep": _cmd_separation,
-    "compare": _cmd_compare,
-    "compat": _cmd_dist_audit,
-    "markov": _cmd_dist_audit,
-    "complete": _cmd_dist_audit,
-    "rpcc": _cmd_rpcc,
-    "graphoid": _cmd_graphoid,
-    "bell-chsh": _cmd_bell_chsh,
-    "bell-member": _cmd_bell_member,
-    "bell-nosig": _cmd_bell_nosig,
-    "bell-qcc": _cmd_bell_qcc,
-    "gen": _cmd_gen,
-}
-
-
 def run(argv: list[str]) -> int:
     """Parse, validate flags, then dispatch; returns the exit status."""
     try:
@@ -317,7 +276,7 @@ def run(argv: list[str]) -> int:
         return USAGE if exc.code not in (0, None) else int(exc.code or 0)
     try:
         _validate_flags(args)
-        return _COMMANDS[args.verb](args)
+        return args.run(args)
     except (GraphError, KeyError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)

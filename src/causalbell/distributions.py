@@ -26,6 +26,16 @@ from .report import Assignment, AuditReport, CheckResult
 MAX_TABLE_CELLS = 1 << 20
 
 
+def _check_cells(cards: Iterable[int], where: str = "") -> None:
+    """Raise unless a table over ``cards`` stays within MAX_TABLE_CELLS.
+
+    The product is exact, so callers check before they allocate or draw.
+    """
+    size = math.prod(cards)
+    if size > MAX_TABLE_CELLS:
+        raise GraphError(f"{where}table of {size} cells exceeds the {MAX_TABLE_CELLS} cap")
+
+
 def _stochastic(arr: np.ndarray, what: str, shape: tuple[int, ...] | None = None,
                 axes: int | tuple[int, ...] | None = None, tol: float = 1e-12) -> np.ndarray:
     """A read-only float64 copy of ``arr`` once it is a stochastic array.
@@ -76,9 +86,7 @@ class JointTable:
         if any(c < 1 for _, c in variables):
             raise GraphError("cardinalities must be positive")
         shape = tuple(c for _, c in variables)
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        if size > MAX_TABLE_CELLS:
-            raise GraphError(f"table of {size} cells exceeds the {MAX_TABLE_CELLS} cap")
+        _check_cells(shape)
         probs = _stochastic(self.probabilities, "probabilities", shape)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "probabilities", probs)
@@ -172,7 +180,8 @@ def joint_from_tables(g: Dag, cpts: Iterable[ConditionalTable]) -> JointTable:
 
     Each table's parent set must equal the node's graph parents and all
     cardinalities must match the graph. The result is compatible with the
-    graph by construction.
+    graph by construction. A joint over more than MAX_TABLE_CELLS cells is
+    refused before it is allocated.
     """
     by_child: dict[str, ConditionalTable] = {}
     for t in cpts:
@@ -184,6 +193,7 @@ def joint_from_tables(g: Dag, cpts: Iterable[ConditionalTable]) -> JointTable:
     if missing or extra:
         raise GraphError(f"missing tables {sorted(missing)}, extra tables {sorted(extra)}")
     shape = tuple(g.cardinality(v) for v in g.names)
+    _check_cells(shape)
     joint = np.ones(shape)
     for v in g.names:
         t = by_child[v]
@@ -234,10 +244,9 @@ def ci_holds(p: JointTable, q: CondQuery, eps: float = 1e-9) -> CiReport:
     q.validate(p.names)
     xs, ys, zs = _ordered(p, q.x), _ordered(p, q.y), _ordered(p, q.z)
     m = p.marginal(list(xs + ys + zs))
-    nx = int(np.prod([p.card(v) for v in xs], dtype=np.int64))
-    ny = int(np.prod([p.card(v) for v in ys], dtype=np.int64))
-    nz = int(np.prod([p.card(v) for v in zs], dtype=np.int64)) if zs else 1
-    m3 = m.reshape(nx, ny, nz)
+    split = len(xs) + len(ys)
+    m3 = m.reshape(math.prod(m.shape[:len(xs)]), math.prod(m.shape[len(xs):split]),
+                   math.prod(m.shape[split:]))
     pz = m3.sum(axis=(0, 1))
     pxz = m3.sum(axis=1)
     pyz = m3.sum(axis=0)
@@ -247,19 +256,10 @@ def ci_holds(p: JointTable, q: CondQuery, eps: float = 1e-9) -> CiReport:
     holds = max_violation <= eps
     witness: Assignment | None = None
     if not holds:
-        ix, iy, iz = np.unravel_index(flat, viol.shape)
-        witness = _decode(xs, int(ix), p) + _decode(ys, int(iy), p) + _decode(zs, int(iz), p)
+        # viol's row-major order is m's, so the flat index decodes over m's axes
+        values = np.unravel_index(flat, m.shape)
+        witness = tuple((name, int(v)) for name, v in zip(xs + ys + zs, values))
     return CiReport(q, holds, max_violation, witness)
-
-
-def _decode(names: tuple[str, ...], flat: int, p: JointTable) -> Assignment:
-    # row-major decode: first name is the most significant digit
-    values: list[int] = []
-    for name in reversed(names):
-        card = p.card(name)
-        values.append(flat % card)
-        flat //= card
-    return tuple(zip(names, reversed(values)))
 
 
 def _check_same_variables(p: JointTable, g: Dag) -> None:
@@ -460,11 +460,13 @@ def random_conditional_tables(g: Dag, rng: np.random.Generator) -> list[Conditio
     """One conditional table per node, each slice drawn uniformly from the
     probability simplex (normalized unit-exponential draws). Iteration
     follows declaration order, so the output is a function of the
-    generator state alone."""
+    generator state alone. A table over more than MAX_TABLE_CELLS cells is
+    refused before it is drawn."""
     out = []
     for v in g.names:
         parents = g.ordered_parents(v)
         shape = tuple(g.cardinality(u) for u in parents) + (g.cardinality(v),)
+        _check_cells(shape)
         draws = rng.exponential(1.0, size=shape)
         out.append(ConditionalTable(v, parents, draws / draws.sum(axis=-1, keepdims=True)))
     return out
@@ -553,9 +555,7 @@ def parse_distribution(text: str) -> JointTable:
         variables.append((name, card))
     if not variables:
         raise GraphError(f"line {lineno}: empty variable list")
-    size = math.prod(c for _, c in variables)
-    if size > MAX_TABLE_CELLS:
-        raise GraphError(f"line {lineno}: table of {size} cells exceeds the {MAX_TABLE_CELLS} cap")
+    _check_cells((c for _, c in variables), f"line {lineno}: ")
     probs = np.zeros(tuple(c for _, c in variables))
     _read_rows(lines, variables, probs)
     probs /= _stochastic(probs, "distribution", tol=1e-9).sum()

@@ -1,4 +1,4 @@
-"""Shared audit-report containers and their text/CSV renderings.
+"""Shared audit-report containers and their text rendering.
 
 An audit is a batch of named checks, each with a pass flag, the worst
 numeric deviation observed and an optional witnessing assignment. Checks
@@ -66,14 +66,4 @@ class AuditReport:
             items = " ".join(f"{k}={v}" for k, v in c.detail.items())
             lines.append(f"  [{c.name}] {items}")
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(lines) + "\n"
-
-    def to_csv(self) -> str:
-        lines = ["check,required,passed,violation,witness"]
-        for c in self.checks:
-            witness = format_assignment(c.witness)
-            lines.append(
-                f"{c.name},{str(c.required).lower()},{str(c.passed).lower()},"
-                f"{c.violation:.9f},{witness}"
-            )
         return "\n".join(lines) + "\n"

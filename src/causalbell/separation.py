@@ -59,12 +59,6 @@ class UndirectedPath:
             parts.append(node)
         return "".join(parts)
 
-    def reversed(self) -> "UndirectedPath":
-        return UndirectedPath(
-            tuple(reversed(self.nodes)),
-            tuple(not f for f in reversed(self.forward)),
-        )
-
     def check_in(self, g: Dag) -> None:
         """Raise GraphError unless every step is an actual edge of ``g``."""
         for a, fwd, b in zip(self.nodes, self.forward, self.nodes[1:]):

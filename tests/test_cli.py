@@ -1,10 +1,15 @@
+import argparse
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from causalbell import bell, distributions, separation
+from causalbell import bell, cli, distributions, separation
 from causalbell.cli import run
-from causalbell.graph import CondQuery, parse_dag
+from causalbell.graph import CondQuery, bell_dag, parse_dag
 from causalbell.separation import d_separated, q_separated
+
+ANGLES = "0,1.5707963268,0.7853981634,-0.7853981634"
 
 
 @pytest.fixture
@@ -24,8 +29,7 @@ def pr_file(tmp_path):
 @pytest.fixture
 def singlet_file(tmp_path):
     path = tmp_path / "singlet.behavior"
-    angles = "0,1.5707963268,0.7853981634,-0.7853981634"
-    assert run(["gen", "singlet", "--angles", angles, "--out", str(path)]) == 0
+    assert run(["gen", "singlet", "--angles", ANGLES, "--out", str(path)]) == 0
     return str(path)
 
 
@@ -179,15 +183,20 @@ w[15] = 0.000000000  a(0)=1 a(1)=1 b(0)=1 b(1)=1
 """
 
 
-def test_bell_nosig(pr_file, tmp_path, capsys):
-    assert run(["bell-nosig", pr_file]) == 0
-    bad = tmp_path / "sig.behavior"
+def _signalling_behavior() -> bell.Behavior:
+    """Alice's outcome copies Bob's setting."""
     table = np.zeros((2, 2, 2, 2))
     for b in range(2):
         for x in range(2):
             for y in range(2):
                 table[y, b, x, y] = 0.5
-    bad.write_text(bell.format_behavior(bell.Behavior(table)))
+    return bell.Behavior(table)
+
+
+def test_bell_nosig(pr_file, tmp_path, capsys):
+    assert run(["bell-nosig", pr_file]) == 0
+    bad = tmp_path / "sig.behavior"
+    bad.write_text(bell.format_behavior(_signalling_behavior()))
     assert run(["bell-nosig", str(bad)]) == 1
     out = capsys.readouterr().out
     assert "1.000000000" in out
@@ -344,3 +353,151 @@ def test_reports_are_byte_stable(bell_dag_file, dist_file, capsys):
         ["graphoid", dist_file, "--trials", "50", "--seed", "1"],
     ):
         assert capture(argv) == capture(argv)
+
+
+# --- the verb contract: stdout is the library's rendering, the exit code its verdict --------
+
+def _sep(decide, lib, x, y, z=()):
+    verdict = decide(lib.dag, CondQuery(x, y, z))
+    if verdict.separated:
+        return "separated\n", 0
+    return f"not separated\nwitness: {verdict.witness}\n", 1
+
+
+def _audit(report):
+    return report.to_text(), 0 if report.passed else 1
+
+
+def _compare(lib, render):
+    report = separation.compare_criteria(lib.dag)
+    return render(report), 1 if report.disagreements else 0
+
+
+def _rpcc(g, p, x, y):
+    report = distributions.reichenbach_check(p, g, x, y)
+    return report.to_text(), 1 if report.verdict == distributions.VIOLATES_RPCC else 0
+
+
+def _chsh(b, variants):
+    values = [bell.chsh_value(b, v) for v in variants]
+    text = "".join(f"variant {v}: S = {s:.9f}\n" for v, s in zip(variants, values))
+    return text, 1 if max(values) > 2.0 + 1e-9 else 0
+
+
+def _member(b):
+    verdict = bell.lhv_membership(b)
+    return verdict.to_text(), 0 if verdict.local else 1
+
+
+CONTRACT = [
+    (["dsep", "{dag}", "--x", "X", "--y", "Y", "--z", ""],
+     lambda lib: _sep(d_separated, lib, {"X"}, {"Y"})),
+    (["dsep", "{dag}", "--x", "X", "--y", "Y", "--z", "A,B"],
+     lambda lib: _sep(d_separated, lib, {"X"}, {"Y"}, {"A", "B"})),
+    (["qsep", "{dag}", "--x", "X", "--y", "Y"],
+     lambda lib: _sep(q_separated, lib, {"X"}, {"Y"})),
+    (["qsep", "{dag}", "--x", "A", "--y", "B", "--z", "Lambda"],
+     lambda lib: _sep(q_separated, lib, {"A"}, {"B"}, {"Lambda"})),
+    (["compare", "{dag}"], lambda lib: _compare(lib, lambda r: r.to_text())),
+    (["compare", "{dag}", "--csv"], lambda lib: _compare(lib, lambda r: r.to_csv())),
+    (["compat", "{dag}", "{dist}"],
+     lambda lib: _audit(distributions.compatible(lib.dist, lib.dag))),
+    (["compat", "{pair}", "{copy}"],
+     lambda lib: _audit(distributions.compatible(lib.copy, lib.pair))),
+    (["markov", "{dag}", "{dist}"],
+     lambda lib: _audit(distributions.causal_markov_check(lib.dist, lib.dag))),
+    (["markov", "{pair}", "{copy}"],
+     lambda lib: _audit(distributions.causal_markov_check(lib.copy, lib.pair))),
+    (["complete", "{dag}", "{dist}"],
+     lambda lib: _audit(distributions.causal_completeness_check(lib.dist, lib.dag))),
+    (["complete", "{pair}", "{copy}", "--eps", "1e-6"],
+     lambda lib: _audit(distributions.causal_completeness_check(lib.copy, lib.pair, 1e-6))),
+    (["rpcc", "{dag}", "{dist}", "--x", "A", "--y", "B"],
+     lambda lib: _rpcc(lib.dag, lib.dist, "A", "B")),
+    (["rpcc", "{pair}", "{copy}", "--x", "P", "--y", "Q"],
+     lambda lib: _rpcc(lib.pair, lib.copy, "P", "Q")),
+    (["graphoid", "{dist}", "--trials", "50", "--seed", "7"],
+     lambda lib: _audit(distributions.graphoid_audit(lib.dist, 1e-9, 50, 7))),
+    (["bell-chsh", "{singlet}"], lambda lib: _chsh(lib.singlet, range(8))),
+    (["bell-chsh", "{lhv}", "--variant", "5"], lambda lib: _chsh(lib.lhv, [5])),
+    (["bell-member", "{pr}"], lambda lib: _member(lib.pr)),
+    (["bell-member", "{lhv}"], lambda lib: _member(lib.lhv)),
+    (["bell-nosig", "{pr}"], lambda lib: _audit(bell.no_signalling_check(lib.pr))),
+    (["bell-nosig", "{signalling}"],
+     lambda lib: _audit(bell.no_signalling_check(lib.signalling))),
+    (["bell-qcc", "{singlet}"], lambda lib: _audit(bell.quantum_causality_audit(lib.singlet))),
+    (["bell-qcc", "{pr}"], lambda lib: _audit(bell.quantum_causality_audit(lib.pr))),
+    (["gen", "bell-dag"], lambda lib: (bell_dag().to_text(), 0)),
+    (["gen", "bell-dag", "--lambda-card", "3"], lambda lib: (bell_dag(3).to_text(), 0)),
+    (["gen", "singlet", "--angles", ANGLES],
+     lambda lib: (bell.format_behavior(bell.singlet_behavior(*map(float, ANGLES.split(",")))),
+                  0)),
+    (["gen", "pr-box"], lambda lib: (bell.format_behavior(bell.pr_box()), 0)),
+    (["gen", "random-lhv", "--seed", "3"],
+     lambda lib: (bell.format_behavior(bell.behavior_from_lhv(bell.random_lhv(3))), 0)),
+    (["gen", "random-compatible", "--dag", "{dag}", "--seed", "5"],
+     lambda lib: (distributions.format_distribution(
+         distributions.random_compatible(lib.dag, 5)), 0)),
+]
+
+
+def _verbs() -> list[str]:
+    (sub,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sorted(sub.choices)
+
+
+@pytest.fixture(scope="module")
+def library_inputs(tmp_path_factory):
+    """Input files written by the library, and the objects parsed back from them."""
+    root = tmp_path_factory.mktemp("contract")
+    texts = {
+        "dag": bell_dag().to_text(),
+        "dist": distributions.format_distribution(distributions.random_compatible(bell_dag(), 5)),
+        "pair": "node P 2\nnode Q 2\n",
+        "copy": "vars P:2 Q:2\n0 0 0.5\n1 1 0.5\n",
+        "singlet": bell.format_behavior(bell.singlet_behavior(*bell.CHSH_ANGLES)),
+        "pr": bell.format_behavior(bell.pr_box()),
+        "lhv": bell.format_behavior(bell.behavior_from_lhv(bell.random_lhv(3))),
+        "signalling": bell.format_behavior(_signalling_behavior()),
+    }
+    parsers = {"dag": parse_dag, "pair": parse_dag, "dist": distributions.parse_distribution,
+               "copy": distributions.parse_distribution}
+    paths, objects = {}, {}
+    for key, text in texts.items():
+        path = root / key
+        path.write_text(text)
+        paths[key] = str(path)
+        objects[key] = parsers.get(key, bell.parse_behavior)(text)
+    return paths, SimpleNamespace(**objects)
+
+
+@pytest.mark.parametrize("argv, expect", CONTRACT, ids=[" ".join(a) for a, _ in CONTRACT])
+def test_verb_prints_the_library_report_and_exits_with_its_verdict(
+        library_inputs, capsys, argv, expect):
+    paths, lib = library_inputs
+    code = run([a.format(**paths) for a in argv])
+    captured = capsys.readouterr()
+    assert (captured.out, code) == expect(lib)
+    assert not captured.err
+
+
+def test_contract_covers_every_verb_and_gen_kind():
+    assert {argv[0] for argv, _ in CONTRACT} == set(_verbs())
+    kinds = {argv[1] for argv, _ in CONTRACT if argv[0] == "gen"}
+    assert kinds == {"bell-dag", "singlet", "pr-box", "random-lhv", "random-compatible"}
+
+
+@pytest.mark.parametrize("verb", _verbs())
+def test_every_verb_has_help(verb, capsys):
+    assert run([verb, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: causalbell {verb} ")
+
+
+def test_oversized_graph_is_a_cap_error(tmp_path, capsys):
+    path = tmp_path / "chain40.dag"
+    path.write_text("".join(f"node v{i} 2\n" for i in range(40))
+                    + "".join(f"edge v{i} -> v{i + 1}\n" for i in range(39)))
+    assert run(["gen", "random-compatible", "--dag", str(path), "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "cap" in captured.err
+    assert not captured.out

@@ -524,6 +524,19 @@ def test_random_compatible_edgeless_is_product():
     assert ci_holds(p, CondQuery({"P"}, {"Q"})).holds
 
 
+def test_oversized_graphs_hit_the_cap_before_any_allocation():
+    chain = Dag([(f"v{i}", "outcome", 2) for i in range(40)],
+                [(f"v{i}", f"v{i + 1}") for i in range(39)])
+    with pytest.raises(GraphError, match="cap"):
+        random_compatible(chain, 1)
+    big = Dag([("a", "outcome", 2), ("big", "outcome", 10**11)], [("a", "big")])
+    with pytest.raises(GraphError, match="cap"):
+        random_conditional_tables(big, np.random.default_rng(0))
+    # the cell count is exact past 2**64, where an int64 product wraps to 0
+    with pytest.raises(GraphError, match="cap"):
+        JointTable(tuple((f"V{i}", 2) for i in range(64)), np.ones(1))
+
+
 def test_random_tables_match_graph():
     g = bell_dag(lambda_card=4)
     rng = np.random.default_rng(0)
