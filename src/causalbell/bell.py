@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import CiReport, JointTable, _check_eps, _read_rows, _stochastic, ci_holds
+from .distributions import (CiReport, JointTable, _check_cells, _check_eps, _read_rows,
+                            _stochastic, ci_holds)
 from .graph import DEFAULT_LAMBDA_CARD, CondQuery, GraphError, _directive_lines
 from .graph import bell_dag  # noqa: F401  (the scenario's DAG, also public here)
 from .report import AuditReport, CheckResult
@@ -117,11 +118,16 @@ def correlators(b: Behavior) -> np.ndarray:
     return np.einsum("ab,abxy->xy", _SIGN, b.table)
 
 
+def _facet_value(e: np.ndarray, variant: int) -> float:
+    """Facet ``variant``'s signed sum of the correlators ``e``."""
+    return float(np.sum(_VARIANT_COEFFS[variant] * e))
+
+
 def chsh_value(b: Behavior, variant: int = 0) -> float:
     """Signed correlator sum for one of the 8 facet variants."""
-    if not 0 <= variant <= 7:
-        raise GraphError(f"variant must be in 0..7, got {variant}")
-    return float(np.sum(_VARIANT_COEFFS[variant] * correlators(b)))
+    if not (isinstance(variant, (int, np.integer)) and 0 <= variant <= 7):
+        raise GraphError(f"variant must be an integer in 0..7, got {variant!r}")
+    return _facet_value(correlators(b), variant)
 
 
 def singlet_behavior(theta0: float, theta1: float, phi0: float, phi1: float) -> Behavior:
@@ -149,26 +155,28 @@ def pr_box() -> Behavior:
     return Behavior(table)
 
 
+def _signalling_deviations(b: Behavior) -> list[float]:
+    """|P(a|x,y=0) - P(a|x,y=1)| over (a, x), then |P(b|x=0,y) - P(b|x=1,y)|
+    over (b, y), each in row-major order."""
+    marg_a = b.table.sum(axis=1)  # [a, x, y]
+    marg_b = b.table.sum(axis=0)  # [b, x, y]
+    devs = (marg_a[..., 0] - marg_a[..., 1], marg_b[:, 0] - marg_b[:, 1])
+    return np.abs(np.concatenate(devs, axis=None)).tolist()
+
+
 def no_signalling_check(b: Behavior, eps: float = 1e-9) -> AuditReport:
     """Assert each wing's outcome marginal ignores the far setting."""
     _check_eps(eps)
     checks = []
-    marg_a = b.table.sum(axis=1)  # [a, x, y]
-    marg_b = b.table.sum(axis=0)  # [b, x, y]
-    for a in range(2):
-        for x in range(2):
-            dev = abs(float(marg_a[a, x, 0] - marg_a[a, x, 1]))
-            checks.append(CheckResult(
-                f"P(a={a}|x={x}) independent of y", dev <= eps, dev,
-                witness=(("a", a), ("x", x)) if dev > eps else None,
-            ))
-    for bb in range(2):
-        for y in range(2):
-            dev = abs(float(marg_b[bb, 0, y] - marg_b[bb, 1, y]))
-            checks.append(CheckResult(
-                f"P(b={bb}|y={y}) independent of x", dev <= eps, dev,
-                witness=(("b", bb), ("y", y)) if dev > eps else None,
-            ))
+    devs = iter(_signalling_deviations(b))
+    for wing, setting, far in (("a", "x", "y"), ("b", "y", "x")):
+        for outcome in range(2):
+            for s in range(2):
+                dev = next(devs)
+                checks.append(CheckResult(
+                    f"P({wing}={outcome}|{setting}={s}) independent of {far}", dev <= eps, dev,
+                    witness=((wing, outcome), (setting, s)) if dev > eps else None,
+                ))
     return AuditReport("no-signalling audit", tuple(checks))
 
 
@@ -212,28 +220,23 @@ class MembershipVerdict:
         return f"not local: variant {self.violated_variant}, S = {self.violated_value:.9f}\n"
 
 
-def _membership_residual(b: Behavior) -> tuple[float, np.ndarray]:
-    """Min over mixture weights of the max entrywise error, via one LP.
+# The membership LP's constant parts. Variables are the 16 weights plus the
+# error bound t (min t); the rows sandwich each table entry p within t of the
+# mixture, d w - t <= p and -d w - t <= -p, and the weights sum to 1.
+_MEMBER_A_UB = np.zeros((32, 17))
+_MEMBER_A_UB[:16, :16] = _DET_TABLES.reshape(16, 16).T
+_MEMBER_A_UB[16:, :16] = -_MEMBER_A_UB[:16, :16]
+_MEMBER_A_UB[:, 16] = -1.0
+_MEMBER_A_EQ = np.append(np.ones(16), 0.0)[None, :]
+_MEMBER_C = np.append(np.zeros(16), 1.0)
+for _a in (_MEMBER_A_UB, _MEMBER_A_EQ, _MEMBER_C):
+    _a.flags.writeable = False
 
-    Variables are the 16 weights plus the error bound t; the constraints
-    sandwich each table entry within t of the mixture.
-    """
-    d = _DET_TABLES.reshape(16, 16)
+
+def _membership_residual(b: Behavior) -> tuple[float, np.ndarray]:
+    """Min over mixture weights of the max entrywise error, via one LP."""
     p = b.table.reshape(16)
-    n = 17  # w0..w15, t
-    a_ub = np.zeros((32, n))
-    b_ub = np.zeros(32)
-    a_ub[:16, :16] = d.T
-    a_ub[:16, 16] = -1.0
-    b_ub[:16] = p
-    a_ub[16:, :16] = -d.T
-    a_ub[16:, 16] = -1.0
-    b_ub[16:] = -p
-    a_eq = np.zeros((1, n))
-    a_eq[0, :16] = 1.0
-    c = np.zeros(n)
-    c[16] = 1.0
-    result = solve_lp(c, a_ub, b_ub, a_eq, [1.0])
+    result = solve_lp(_MEMBER_C, _MEMBER_A_UB, np.concatenate((p, -p)), _MEMBER_A_EQ, [1.0])
     if result.status != OPTIMAL:
         raise RuntimeError(f"membership solve returned {result.status}")
     weights = np.clip(result.x[:16], 0.0, None)
@@ -251,13 +254,15 @@ def lhv_membership(b: Behavior, eps: float = 1e-9) -> MembershipVerdict:
     the two routes are checked against that bound, with a float slack of
     1e-8, and a breach is an internal error, never a verdict.
     """
-    ns = no_signalling_check(b, eps)
-    if not ns.passed:
+    _check_eps(eps)
+    worst = max(_signalling_deviations(b))
+    if worst > eps:
         raise GraphError(
             f"membership is posed inside the no-signalling set "
-            f"(worst marginal deviation {ns.worst_violation:.9f})"
+            f"(worst marginal deviation {worst:.9f})"
         )
-    values = [chsh_value(b, v) for v in range(8)]
+    e = correlators(b)
+    values = [_facet_value(e, v) for v in range(8)]
     best_variant = int(np.argmax(values))
     residual, weights = _membership_residual(b)
     if values[best_variant] > 2.0 + 16.0 * residual + _BOUND_SLACK:
@@ -317,6 +322,7 @@ def quantum_causality_audit(b: Behavior, eps: float = 1e-9) -> AuditReport:
 
 def random_lhv(seed: int, lambda_card: int = DEFAULT_LAMBDA_CARD) -> LhvModel:
     """Random local model, every slice uniform on the simplex; per-seed stable."""
+    _check_cells((lambda_card, 2, 2))
     rng = np.random.default_rng(seed)
     w = rng.exponential(1.0, size=lambda_card)
     ra = rng.exponential(1.0, size=(lambda_card, 2, 2))

@@ -11,6 +11,13 @@ feasibility solve produces routinely: the entering column is the first
 eligible non-basic one, and among the rows whose ratio lies within
 ``_PIVOT_TOL`` of the least, the leaving row is the one with the lowest
 basic index.
+
+On tableaus this small numpy's per-call dispatch costs a pivot more than
+its arithmetic, so the loop keeps its tableau views across pivots and calls
+array methods rather than module-level wrappers. Only the dispatch is lean:
+the pivot arithmetic, its order (the reduced costs are one BLAS dot) and
+Bland's tie-break are fixed, and tests pin the pivots and the bits of the
+membership solve.
 """
 
 from __future__ import annotations
@@ -35,29 +42,32 @@ class LpResult:
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
+    prow = tableau[row]
+    prow /= prow[col]
     factor = tableau[:, col].copy()
     factor[row] = 0.0
-    tableau -= np.outer(factor, tableau[row])
+    tableau -= factor[:, None] * prow
     basis[row] = col
 
 
 def _iterate(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
              allowed: int) -> str:
     """Run simplex iterations in place; ``allowed`` bounds entering columns."""
+    # views into the tableau, which every pivot updates in place
+    head, body, rhs = cost[:allowed], tableau[:, :allowed], tableau[:, -1]
     while True:
-        reduced = cost[:allowed] - cost[basis] @ tableau[:, :allowed]
-        eligible = reduced < -_PIVOT_TOL
+        eligible = head - cost[basis] @ body < -_PIVOT_TOL
         eligible[basis] = False
-        if not eligible.any():
+        entering = int(eligible.argmax())
+        if not eligible[entering]:
             return OPTIMAL
-        entering = int(np.argmax(eligible))
-        rows = np.flatnonzero(tableau[:, entering] > _PIVOT_TOL)
+        col = tableau[:, entering]
+        rows = (col > _PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             return UNBOUNDED
-        ratios = tableau[rows, -1] / tableau[rows, entering]
+        ratios = rhs[rows] / col[rows]
         ties = rows[ratios <= ratios.min() + _PIVOT_TOL]
-        _pivot(tableau, basis, int(ties[np.argmin(basis[ties])]), entering)
+        _pivot(tableau, basis, int(ties[basis[ties].argmin()]), entering)
 
 
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LpResult:

@@ -92,6 +92,23 @@ def subsets(items):
         yield frozenset(it for i, it in enumerate(items) if mask >> i & 1)
 
 
+def membership_oracle_behaviors():
+    """Behaviors the membership LP is checked on: singlets at random angles,
+    random local models, PR box + noise, and a sweep across the facet."""
+    from causalbell import bell
+
+    rng = np.random.default_rng(2024)
+    pr, uniform = bell.pr_box().table, np.full((2, 2, 2, 2), 0.25)
+    for _ in range(15):
+        yield bell.singlet_behavior(*rng.uniform(-np.pi, np.pi, 4))
+        yield bell.behavior_from_lhv(bell.random_lhv(int(rng.integers(2**31))))
+        t = rng.random()
+        yield bell.Behavior(t * pr + (1 - t) * uniform)
+    for k in range(-20, 41, 4):  # the facet boundary sits at t = 1/2
+        t = 0.5 + k * 1e-10
+        yield bell.Behavior(t * pr + (1 - t) * uniform)
+
+
 @pytest.fixture
 def bell5():
     from causalbell.bell import bell_dag

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from conftest import membership_oracle_behaviors
 
 from causalbell.bell import (
     _DET_TABLES,
@@ -174,8 +176,10 @@ def test_singlet_standard_angles_hit_the_quantum_bound():
 
 
 def test_chsh_variant_range():
-    with pytest.raises(GraphError, match="variant"):
-        chsh_value(pr_box(), 8)
+    for variant in (8, -1, 1.5, "1", None):
+        with pytest.raises(GraphError, match="variant must be an integer in 0..7"):
+            chsh_value(pr_box(), variant)
+    assert chsh_value(pr_box(), np.int64(4)) == chsh_value(pr_box(), 4) == -4.0
 
 
 def test_equal_angles_give_perfect_anticorrelation():
@@ -292,8 +296,27 @@ def test_membership_roundtrip_on_random_models():
 
 
 def test_membership_rejects_signalling_input():
-    with pytest.raises(GraphError, match="no-signalling"):
+    with pytest.raises(GraphError, match=r"set \(worst marginal deviation 1\.000000000\)"):
         lhv_membership(signalling_behavior())
+    # Bob's marginal reads Alice's setting by 0.3, Alice's reads Bob's by 0.2
+    bob_reads_x = np.zeros((2, 2, 2, 2))
+    for a, x, y in itertools.product(range(2), repeat=3):
+        bob_reads_x[a, x, x, y] = 0.5
+    b = Behavior(0.2 * signalling_behavior().table + 0.3 * bob_reads_x + 0.5 * 0.25)
+    worst = no_signalling_check(b).worst_violation
+    assert worst == pytest.approx(0.3, abs=1e-15)
+    with pytest.raises(GraphError, match=rf"worst marginal deviation {worst:.9f}\)"):
+        lhv_membership(b)
+
+
+def test_membership_verdict_reports_a_facet_value_chsh_value_gives():
+    non_local = 0
+    for b in membership_oracle_behaviors():
+        verdict = lhv_membership(b)
+        if not verdict.local:
+            non_local += 1
+            assert verdict.violated_value == chsh_value(b, verdict.violated_variant)
+    assert non_local > 0
 
 
 def test_membership_verdict_follows_facets_across_the_boundary():

@@ -251,6 +251,14 @@ def test_gen_lambda_card_default_and_override(capsys):
     assert "lambda cardinality must be positive" in captured.err and not captured.out
 
 
+def test_gen_random_lhv_caps_the_hidden_value_cardinality(capsys):
+    # rejected before any draw, as an input error, not a failed allocation
+    assert run(["gen", "random-lhv", "--seed", "1", "--lambda-card", "1000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: table of 4000000000000 cells exceeds the 1048576 cap\n"
+    assert not captured.out
+
+
 # --- exit-status contract -----------------------------------------------------------------
 
 def test_usage_errors_exit_two(tmp_path, capsys):

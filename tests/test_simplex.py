@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+from conftest import membership_oracle_behaviors
 
 from causalbell import bell
 from causalbell.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
@@ -111,23 +114,10 @@ def _membership_lp(table):
     return c, a_ub, np.concatenate([p, -p]), a_eq, np.ones(1)
 
 
-def _oracle_behaviors():
-    rng = np.random.default_rng(2024)
-    pr, uniform = bell.pr_box().table, np.full((2, 2, 2, 2), 0.25)
-    for _ in range(15):
-        yield bell.singlet_behavior(*rng.uniform(-np.pi, np.pi, 4))
-        yield bell.behavior_from_lhv(bell.random_lhv(int(rng.integers(2**31))))
-        t = rng.random()
-        yield bell.Behavior(t * pr + (1 - t) * uniform)
-    for k in range(-20, 41, 4):  # the facet boundary sits at t = 1/2
-        t = 0.5 + k * 1e-10
-        yield bell.Behavior(t * pr + (1 - t) * uniform)
-
-
 def test_membership_lp_matches_scipy_highs():
     """Third route for the feasibility solve: scipy's HiGHS on the same LP."""
     optimize = pytest.importorskip("scipy.optimize")
-    for b in _oracle_behaviors():
+    for b in membership_oracle_behaviors():
         c, a_ub, b_ub, a_eq, b_eq = _membership_lp(b.table)
         ours = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
         assert bell._membership_residual(b)[0] == ours.objective  # the same LP
@@ -150,3 +140,17 @@ def test_membership_pivot_sequence_is_pinned():
         0.23583293736556432, 0.019094923197203878, 0.016656725979538017, 0.0,
         0.08666048609447155, 0.0, 0.0,
     ]
+
+
+def test_membership_lp_bits_are_pinned():
+    # one digest over the exact bytes of every solve: a pivot that takes
+    # another tie, or arithmetic reordered, moves the last bits somewhere
+    digest = hashlib.sha256()
+    behaviors = [*membership_oracle_behaviors(),
+                 *(bell.behavior_from_lhv(bell.random_lhv(seed)) for seed in range(100))]
+    for b in behaviors:
+        res = solve_lp(*_membership_lp(b.table))
+        digest.update(res.x.tobytes())
+        digest.update(np.float64(res.objective).tobytes())
+    assert len(behaviors) == 161
+    assert digest.hexdigest() == "05714fa1ec6b2a595469a6408c31d5216e7316efd2d34bfa59faa857a7218d93"
