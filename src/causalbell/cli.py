@@ -6,16 +6,18 @@ usage or input problems. All randomized commands require an explicit
 seed and reports are byte-stable across runs for equal inputs.
 
 Each verb is declared once, by one `verb(...)` call in `_parser()`: its
-subparser, its input files (`dag`, `dist`, `behavior`) with their help
-from `_INPUT_HELP`, its own flags, `--eps` when it takes a tolerance,
-and its handler, which `run` calls after `_validate_flags`. A handler
-loads its inputs with `_load`, asks the library for a report and hands
-the text and the affirmative flag to `_verdict`, which writes the text
-and returns the exit status.
+subparser, input files, own flags, `--eps` when it takes a tolerance, and
+its handler, bound there to the library call it makes. `run` checks
+`--eps`, `--seed` and `--lambda-card` before any file is read, and `gen`
+checks its own flags before it reads `--dag`; every other rule is the
+library's, raised with its message once the inputs are read. A handler
+loads its inputs with `_load` and hands the report's text and verdict to
+`_verdict`, which writes the text and returns the exit status.
 
-Only the graph layers load with this module. The handlers that need the
-numpy-backed `bell` or `distributions` layer import it themselves, so
-`dsep`, `qsep` and `compare` never import numpy.
+Only the graph layers load with this module. A handler bound to the
+numpy-backed `bell` or `distributions` layer names its call and imports
+the module when it runs, so `dsep`, `qsep` and `compare` never import
+numpy.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Callable, TypeVar
 
 from . import separation
 from .graph import DEFAULT_LAMBDA_CARD, CondQuery, GraphError, bell_dag, parse_dag
+from .report import _check_eps
 
 PASS = 0
 FAIL = 1
@@ -65,14 +69,18 @@ def _parser() -> argparse.ArgumentParser:
     nodes = {"required": True, "help": "comma-separated node list"}
     sep_flags = {"--x": nodes, "--y": nodes,
                  "--z": {"default": "", "help": "comma-separated node list, may be empty"}}
-    verb("dsep", "classical separation query", _cmd_separation, "dag", flags=sep_flags)
-    verb("qsep", "typed setting/outcome separation query", _cmd_separation, "dag",
-         flags=sep_flags)
+    verb("dsep", "classical separation query", partial(_cmd_separation, separation.d_separated),
+         "dag", flags=sep_flags)
+    verb("qsep", "typed setting/outcome separation query",
+         partial(_cmd_separation, separation.q_separated), "dag", flags=sep_flags)
     verb("compare", "tabulate both criteria over all small queries", _cmd_compare, "dag",
          flags={"--csv": {"action": "store_true", "help": "emit comma-separated rows"}})
-    verb("compat", "graph compatibility audit", _cmd_dist_audit, "dag", "dist", eps=True)
-    verb("markov", "parent screening audit", _cmd_dist_audit, "dag", "dist", eps=True)
-    verb("complete", "ancestor screening audit", _cmd_dist_audit, "dag", "dist", eps=True)
+    verb("compat", "graph compatibility audit", partial(_cmd_dist_audit, "compatible"),
+         "dag", "dist", eps=True)
+    verb("markov", "parent screening audit", partial(_cmd_dist_audit, "causal_markov_check"),
+         "dag", "dist", eps=True)
+    verb("complete", "ancestor screening audit",
+         partial(_cmd_dist_audit, "causal_completeness_check"), "dag", "dist", eps=True)
     node = {"required": True, "help": "one node"}
     verb("rpcc", "common-cause screening classification", _cmd_rpcc, "dag", "dist", eps=True,
          flags={"--x": node, "--y": node})
@@ -82,8 +90,10 @@ def _parser() -> argparse.ArgumentParser:
     verb("bell-chsh", "evaluate the correlator facets", _cmd_bell_chsh, "behavior", eps=True,
          flags={"--variant": {"type": int, "default": None, "help": "single variant 0..7"}})
     verb("bell-member", "local-set membership", _cmd_bell_member, "behavior", eps=True)
-    verb("bell-nosig", "no-signalling audit", _cmd_behavior_audit, "behavior", eps=True)
-    verb("bell-qcc", "outcome-independence audit", _cmd_behavior_audit, "behavior", eps=True)
+    verb("bell-nosig", "no-signalling audit", partial(_cmd_behavior_audit, "no_signalling_check"),
+         "behavior", eps=True)
+    verb("bell-qcc", "outcome-independence audit",
+         partial(_cmd_behavior_audit, "quantum_causality_audit"), "behavior", eps=True)
     verb("gen", "write a canonical input file", _cmd_gen, flags={
         "kind": {"choices": ["bell-dag", "singlet", "pr-box", "random-lhv",
                              "random-compatible"]},
@@ -97,28 +107,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _validate_flags(args: argparse.Namespace) -> None:
-    eps = getattr(args, "eps", None)
-    if eps is not None and not (0 < eps < math.inf):
-        raise GraphError(f"tolerance must be positive and finite, got {eps!r}")
-    trials = getattr(args, "trials", None)
-    if trials is not None and trials <= 0:
-        raise GraphError(f"trials must be positive, got {trials}")
-    variant = getattr(args, "variant", None)
-    if variant is not None and not 0 <= variant <= 7:
-        raise GraphError(f"variant must be in 0..7, got {variant}")
+    """The flag rules checked before any file is read."""
+    if hasattr(args, "eps"):
+        _check_eps(args.eps)
     seed = getattr(args, "seed", None)
     if seed is not None and seed < 0:
         raise GraphError(f"seed must be non-negative, got {seed}")
     lambda_card = getattr(args, "lambda_card", None)
     if lambda_card is not None and lambda_card < 1:
         raise GraphError("lambda cardinality must be positive")
-    if args.verb == "gen":
-        if args.kind in ("random-lhv", "random-compatible") and args.seed is None:
-            raise GraphError(f"gen {args.kind} requires --seed")
-        if args.kind == "random-compatible" and args.dag is None:
-            raise GraphError("gen random-compatible requires --dag")
-        if args.angles is not None:
-            _parse_angles(args.angles)
 
 
 def _parse_angles(raw: str) -> tuple[float, float, float, float]:
@@ -167,10 +164,9 @@ def _verdict(text: str, affirmative: bool) -> int:
     return PASS if affirmative else FAIL
 
 
-def _cmd_separation(args: argparse.Namespace) -> int:
+def _cmd_separation(decide: Callable, args: argparse.Namespace) -> int:
     g = _load(parse_dag, args.dag)
     query = CondQuery(_node_list(args.x), _node_list(args.y), _node_list(args.z))
-    decide = separation.d_separated if args.verb == "dsep" else separation.q_separated
     verdict = decide(g, query)
     text = "separated\n" if verdict.separated else f"not separated\nwitness: {verdict.witness}\n"
     return _verdict(text, verdict.separated)
@@ -182,17 +178,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return _verdict(report.to_csv() if args.csv else report.to_text(), not report.disagreements)
 
 
-def _cmd_dist_audit(args: argparse.Namespace) -> int:
+def _cmd_dist_audit(audit: str, args: argparse.Namespace) -> int:
     from . import distributions
 
     g = _load(parse_dag, args.dag)
     p = _load(distributions.parse_distribution, args.dist)
-    fn = {
-        "compat": distributions.compatible,
-        "markov": distributions.causal_markov_check,
-        "complete": distributions.causal_completeness_check,
-    }[args.verb]
-    report = fn(p, g, args.eps)
+    report = getattr(distributions, audit)(p, g, args.eps)
     return _verdict(report.to_text(), report.passed)
 
 
@@ -233,19 +224,20 @@ def _cmd_bell_member(args: argparse.Namespace) -> int:
     return _verdict(verdict.to_text(), verdict.local)
 
 
-def _cmd_behavior_audit(args: argparse.Namespace) -> int:
+def _cmd_behavior_audit(audit: str, args: argparse.Namespace) -> int:
     from . import bell
 
     b = _load(bell.parse_behavior, args.behavior)
-    fn = {
-        "bell-nosig": bell.no_signalling_check,
-        "bell-qcc": bell.quantum_causality_audit,
-    }[args.verb]
-    report = fn(b, args.eps)
+    report = getattr(bell, audit)(b, args.eps)
     return _verdict(report.to_text(), report.passed)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    if args.kind in ("random-lhv", "random-compatible") and args.seed is None:
+        raise GraphError(f"gen {args.kind} requires --seed")
+    if args.kind == "random-compatible" and args.dag is None:
+        raise GraphError("gen random-compatible requires --dag")
+    angles = None if args.angles is None else _parse_angles(args.angles)
     lambda_card = DEFAULT_LAMBDA_CARD if args.lambda_card is None else args.lambda_card
     if args.kind == "bell-dag":
         _emit(bell_dag(lambda_card).to_text(), args.out)
@@ -254,8 +246,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     from . import bell, distributions
 
     if args.kind == "singlet":
-        angles = bell.CHSH_ANGLES if args.angles is None else _parse_angles(args.angles)
-        text = bell.format_behavior(bell.singlet_behavior(*angles))
+        text = bell.format_behavior(bell.singlet_behavior(*(angles or bell.CHSH_ANGLES)))
     elif args.kind == "pr-box":
         text = bell.format_behavior(bell.pr_box())
     elif args.kind == "random-lhv":

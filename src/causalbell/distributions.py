@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .graph import CondQuery, Dag, GraphError, _directive_lines
-from .report import Assignment, AuditReport, CheckResult
+from .report import Assignment, AuditReport, CheckResult, _check_eps
 
 MAX_TABLE_CELLS = 1 << 20
 
@@ -59,11 +59,6 @@ def _stochastic(arr: np.ndarray, what: str, shape: tuple[int, ...] | None = None
         raise GraphError(f"{what}: {which} outside 1 +/- {tol:g} (to {worst!r})")
     out.setflags(write=False)
     return out
-
-
-def _check_eps(eps: float) -> None:
-    if not 0 < eps < math.inf:
-        raise GraphError(f"eps must be positive and finite, got {eps!r}")
 
 
 @dataclass(frozen=True)
@@ -278,12 +273,12 @@ def _fmt_set(names: Iterable[str], g: Dag) -> str:
 
 
 def _screening_audit(p: JointTable, g: Dag, eps: float, title: str,
-                     conditioning: str) -> AuditReport:
+                     conditioning: Callable[[str], frozenset[str]]) -> AuditReport:
     _check_eps(eps)
     _check_same_variables(p, g)
     checks: list[CheckResult] = []
     for v in g.names:
-        z = g.parents(v) if conditioning == "parents" else g.ancestors(v)
+        z = conditioning(v)
         others = set(g.names) - g.descendants(v) - {v} - z
         name = f"{v} _||_ {_fmt_set(others, g)} | {_fmt_set(z, g)}"
         if not others:
@@ -296,7 +291,7 @@ def _screening_audit(p: JointTable, g: Dag, eps: float, title: str,
 
 def causal_markov_check(p: JointTable, g: Dag, eps: float = 1e-9) -> AuditReport:
     """Each node must be independent of its non-descendants given its parents."""
-    return _screening_audit(p, g, eps, "local Markov audit", "parents")
+    return _screening_audit(p, g, eps, "local Markov audit", g.parents)
 
 
 def compatible(p: JointTable, g: Dag, eps: float = 1e-9) -> AuditReport:
@@ -305,12 +300,12 @@ def compatible(p: JointTable, g: Dag, eps: float = 1e-9) -> AuditReport:
     Equivalent to the existence of a conditional-table factorization
     along the graph; the equivalence itself is exercised in the tests.
     """
-    return _screening_audit(p, g, eps, "compatibility audit", "parents")
+    return _screening_audit(p, g, eps, "compatibility audit", g.parents)
 
 
 def causal_completeness_check(p: JointTable, g: Dag, eps: float = 1e-9) -> AuditReport:
     """Each node must be independent of its non-descendants given its ancestors."""
-    return _screening_audit(p, g, eps, "ancestor screening audit", "ancestors")
+    return _screening_audit(p, g, eps, "ancestor screening audit", g.ancestors)
 
 
 UNCORRELATED = "uncorrelated"
@@ -388,7 +383,7 @@ def graphoid_audit(p: JointTable, eps: float = 1e-9, trials: int = 1000,
     gate is surfaced in the report.
     """
     if trials <= 0:
-        raise GraphError("trials must be positive")
+        raise GraphError(f"trials must be positive, got {trials!r}")
     _check_eps(eps)
     if len(p.names) < 2:
         raise GraphError("need at least two variables")

@@ -1,4 +1,4 @@
-"""Shared audit-report containers and their text rendering.
+"""Shared audit-report containers, their text rendering and the tolerance rule.
 
 An audit is a batch of named checks, each with a pass flag, the worst
 numeric deviation observed and an optional witnessing assignment. Checks
@@ -8,10 +8,19 @@ but does not affect the overall verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from .graph import GraphError
+
 Assignment = tuple[tuple[str, int], ...]
+
+
+def _check_eps(eps: float) -> None:
+    """The one rule for every tolerance, shared by the audits and the CLI."""
+    if not 0 < eps < math.inf:
+        raise GraphError(f"tolerance eps must be positive and finite, got {eps!r}")
 
 
 def _align_columns(rows: list[tuple[str, ...]]) -> list[str]:

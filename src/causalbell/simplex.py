@@ -50,13 +50,12 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _iterate(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
-             allowed: int) -> str:
-    """Run simplex iterations in place; ``allowed`` bounds entering columns."""
+def _iterate(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> str:
+    """Run simplex iterations in place; every column but the last may enter."""
     # views into the tableau, which every pivot updates in place
-    head, body, rhs = cost[:allowed], tableau[:, :allowed], tableau[:, -1]
+    body, rhs = tableau[:, :-1], tableau[:, -1]
     while True:
-        eligible = head - cost[basis] @ body < -_PIVOT_TOL
+        eligible = cost - cost[basis] @ body < -_PIVOT_TOL
         eligible[basis] = False
         entering = int(eligible.argmax())
         if not eligible[entering]:
@@ -77,27 +76,27 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LpResult:
     A_ub = np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, dtype=np.float64)
     A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=np.float64)
     n_slack, m = A_ub.shape[0], A_ub.shape[0] + A_eq.shape[0]
-    if m == 0:
-        return LpResult(OPTIMAL, np.zeros(n), 0.0)
     width = n + n_slack
     tableau = np.zeros((m, width + m + 1))
     tableau[:n_slack, :n] = A_ub
     tableau[:n_slack, n:width] = np.eye(n_slack)
     tableau[n_slack:, :n] = A_eq
-    tableau[:, -1] = np.concatenate([np.ravel(b) for b in (b_ub, b_eq) if b is not None])
+    rhs = [np.ravel(b) for b in (b_ub, b_eq) if b is not None]
+    tableau[:, -1] = np.concatenate(rhs) if rhs else 0.0
     tableau[tableau[:, -1] < 0] *= -1.0  # the artificial start needs b >= 0
     tableau[:, width:-1] = np.eye(m)
     basis = np.arange(width, width + m)
 
     phase1_cost = np.zeros(width + m)
     phase1_cost[width:] = 1.0
-    status = _iterate(tableau, basis, phase1_cost, allowed=width + m)
+    status = _iterate(tableau, basis, phase1_cost)
     if status != OPTIMAL:
         return LpResult(INFEASIBLE)
     if tableau[basis >= width, -1].sum() > _FEAS_TOL:
         return LpResult(INFEASIBLE)
 
-    # kick remaining artificials out of the basis; drop redundant rows
+    # kick remaining artificials out of the basis; drop redundant rows and
+    # the artificial columns, which phase two never reads
     keep = np.ones(m, dtype=bool)
     for r in np.flatnonzero(basis >= width):
         cols = np.flatnonzero(np.abs(tableau[r, :width]) > _PIVOT_TOL)
@@ -105,11 +104,11 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LpResult:
             keep[r] = False  # numerically zero row, redundant constraint
         else:
             _pivot(tableau, basis, r, int(cols[0]))
-    tableau, basis = tableau[keep], basis[keep]
+    tableau, basis = np.delete(tableau[keep], np.s_[width:-1], axis=1), basis[keep]
 
-    phase2_cost = np.zeros(width + m)
+    phase2_cost = np.zeros(width)
     phase2_cost[:n] = c
-    status = _iterate(tableau, basis, phase2_cost, allowed=width)
+    status = _iterate(tableau, basis, phase2_cost)
     if status != OPTIMAL:
         return LpResult(UNBOUNDED)
     x = np.zeros(width)

@@ -95,6 +95,12 @@ def test_lhv_model_validation():
         LhvModel(np.array([0.5, 0.5]), ra, bad)
 
 
+def test_random_lhv_rejects_a_hidden_value_cardinality_below_one():
+    for card in (0, -3):
+        with pytest.raises(GraphError, match=f"lambda cardinality must be positive, got {card}"):
+            random_lhv(1, lambda_card=card)
+
+
 def test_deterministic_model_copies_settings():
     # a = x and b = y: the strategy with a(0)=0, a(1)=1, b(0)=0, b(1)=1
     strategies = deterministic_strategies()

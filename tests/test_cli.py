@@ -1,4 +1,5 @@
 import argparse
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from causalbell import bell, cli, distributions, separation
 from causalbell.cli import run
-from causalbell.graph import CondQuery, bell_dag, parse_dag
+from causalbell.graph import CondQuery, GraphError, bell_dag, parse_dag
 from causalbell.separation import d_separated, q_separated
 
 ANGLES = "0,1.5707963268,0.7853981634,-0.7853981634"
@@ -330,6 +331,23 @@ def test_bell_member_just_past_the_facet(tmp_path, capsys):
 def test_bad_variant_rejected(singlet_file, capsys):
     assert run(["bell-chsh", singlet_file, "--variant", "9"]) == 2
     assert "variant" in capsys.readouterr().err
+
+
+def test_a_flag_rule_has_the_library_message(singlet_file, dist_file, capsys):
+    # the CLI holds no copy of these rules: its stderr is the library's error
+    b = bell.parse_behavior(Path(singlet_file).read_text())
+    p = distributions.parse_distribution(Path(dist_file).read_text())
+    for argv, call in (
+        (["bell-chsh", singlet_file, "--variant", "9"], lambda: bell.chsh_value(b, 9)),
+        (["graphoid", dist_file, "--trials", "0", "--seed", "1"],
+         lambda: distributions.graphoid_audit(p, 1e-9, 0, 1)),
+        (["bell-member", singlet_file, "--eps", "nan"],
+         lambda: bell.lhv_membership(b, float("nan"))),
+    ):
+        with pytest.raises(GraphError) as raised:
+            call()
+        assert run(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {raised.value}\n"), argv
 
 
 def test_missing_file_reports_error(tmp_path, capsys):

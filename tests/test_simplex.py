@@ -41,6 +41,14 @@ def test_unbounded_detected():
     assert res.status == UNBOUNDED
 
 
+def test_no_constraint_rows_still_read_the_cost():
+    res = solve_lp(c=[-1.0])  # min -x over x >= 0 has no bottom
+    assert res.status == UNBOUNDED
+    res = solve_lp(c=[1.0, 0.0])
+    assert res.status == OPTIMAL
+    assert res.objective == 0.0 and res.x.tolist() == [0.0, 0.0]
+
+
 def test_degenerate_vertex():
     # three constraints meet at the optimum; Bland's rule must terminate
     res = solve_lp(
