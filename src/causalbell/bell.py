@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import CiReport, JointTable, _check_cells, _read_rows, _stochastic, ci_holds
-from .graph import DEFAULT_LAMBDA_CARD, CondQuery, GraphError, _directive_lines
+from .graph import DEFAULT_LAMBDA_CARD, CondQuery, GraphError, _check_lambda_card, _directive_lines
 from .graph import bell_dag  # noqa: F401  (the scenario's DAG, also public here)
-from .report import AuditReport, CheckResult, _check_eps
+from .report import AuditReport, CheckResult, _check_eps, _check_seed
 from .simplex import OPTIMAL, solve_lp
 
 # Float slack on the exact bound max S <= 2 + 16 r that ties the facet sweep
@@ -321,8 +321,8 @@ def quantum_causality_audit(b: Behavior, eps: float = 1e-9) -> AuditReport:
 
 def random_lhv(seed: int, lambda_card: int = DEFAULT_LAMBDA_CARD) -> LhvModel:
     """Random local model, every slice uniform on the simplex; per-seed stable."""
-    if lambda_card < 1:
-        raise GraphError(f"lambda cardinality must be positive, got {lambda_card!r}")
+    _check_seed(seed)
+    _check_lambda_card(lambda_card)
     _check_cells((lambda_card, 2, 2))
     rng = np.random.default_rng(seed)
     w = rng.exponential(1.0, size=lambda_card)

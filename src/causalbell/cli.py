@@ -7,12 +7,13 @@ seed and reports are byte-stable across runs for equal inputs.
 
 Each verb is declared once, by one `verb(...)` call in `_parser()`: its
 subparser, input files, own flags, `--eps` when it takes a tolerance, and
-its handler, bound there to the library call it makes. `run` checks
-`--eps`, `--seed` and `--lambda-card` before any file is read, and `gen`
-checks its own flags before it reads `--dag`; every other rule is the
-library's, raised with its message once the inputs are read. A handler
-loads its inputs with `_load` and hands the report's text and verdict to
-`_verdict`, which writes the text and returns the exit status.
+its handler, bound there to the library call it makes. `run` applies the
+library's rules for `--eps`, `--seed` and `--lambda-card` before any file
+is read, and `gen` checks its own flags before it reads `--dag`; every
+other rule is the library's, raised with its message once the inputs are
+read. A handler loads its inputs with `_load` and hands the report's text
+and verdict to `_verdict`, which writes the text and returns the exit
+status.
 
 Only the graph layers load with this module. A handler bound to the
 numpy-backed `bell` or `distributions` layer names its call and imports
@@ -30,8 +31,9 @@ from pathlib import Path
 from typing import Callable, TypeVar
 
 from . import separation
-from .graph import DEFAULT_LAMBDA_CARD, CondQuery, GraphError, bell_dag, parse_dag
-from .report import _check_eps
+from .graph import (DEFAULT_LAMBDA_CARD, CondQuery, GraphError, _check_lambda_card, bell_dag,
+                    parse_dag)
+from .report import _check_eps, _check_seed
 
 PASS = 0
 FAIL = 1
@@ -110,12 +112,10 @@ def _validate_flags(args: argparse.Namespace) -> None:
     """The flag rules checked before any file is read."""
     if hasattr(args, "eps"):
         _check_eps(args.eps)
-    seed = getattr(args, "seed", None)
-    if seed is not None and seed < 0:
-        raise GraphError(f"seed must be non-negative, got {seed}")
-    lambda_card = getattr(args, "lambda_card", None)
-    if lambda_card is not None and lambda_card < 1:
-        raise GraphError("lambda cardinality must be positive")
+    if getattr(args, "seed", None) is not None:
+        _check_seed(args.seed)
+    if getattr(args, "lambda_card", None) is not None:
+        _check_lambda_card(args.lambda_card)
 
 
 def _parse_angles(raw: str) -> tuple[float, float, float, float]:

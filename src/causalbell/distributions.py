@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .graph import CondQuery, Dag, GraphError, _directive_lines
-from .report import Assignment, AuditReport, CheckResult, _check_eps
+from .report import Assignment, AuditReport, CheckResult, _check_eps, _check_seed
 
 MAX_TABLE_CELLS = 1 << 20
 
@@ -385,6 +385,7 @@ def graphoid_audit(p: JointTable, eps: float = 1e-9, trials: int = 1000,
     if trials <= 0:
         raise GraphError(f"trials must be positive, got {trials!r}")
     _check_eps(eps)
+    _check_seed(seed)
     if len(p.names) < 2:
         raise GraphError("need at least two variables")
     rng = np.random.default_rng(seed)
@@ -469,6 +470,7 @@ def random_conditional_tables(g: Dag, rng: np.random.Generator) -> list[Conditio
 
 def random_compatible(g: Dag, seed: int) -> JointTable:
     """A random joint distribution compatible with ``g``, deterministic per seed."""
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     return joint_from_tables(g, random_conditional_tables(g, rng))
 

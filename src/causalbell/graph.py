@@ -301,8 +301,15 @@ def _bits(mask: int) -> list[int]:
 DEFAULT_LAMBDA_CARD = 16
 
 
+def _check_lambda_card(lambda_card: int) -> None:
+    """The one rule for the hidden variable's cardinality."""
+    if lambda_card < 1:
+        raise GraphError(f"lambda cardinality must be positive, got {lambda_card!r}")
+
+
 def bell_dag(lambda_card: int = DEFAULT_LAMBDA_CARD) -> Dag:
     """The two-wing DAG: X -> A <- Lambda -> B <- Y, with free settings."""
+    _check_lambda_card(lambda_card)
     return Dag(
         nodes=[
             ("X", "setting", 2),

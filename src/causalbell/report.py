@@ -1,4 +1,4 @@
-"""Shared audit-report containers, their text rendering and the tolerance rule.
+"""Shared audit-report containers, their text rendering and the tolerance and seed rules.
 
 An audit is a batch of named checks, each with a pass flag, the worst
 numeric deviation observed and an optional witnessing assignment. Checks
@@ -21,6 +21,12 @@ def _check_eps(eps: float) -> None:
     """The one rule for every tolerance, shared by the audits and the CLI."""
     if not 0 < eps < math.inf:
         raise GraphError(f"tolerance eps must be positive and finite, got {eps!r}")
+
+
+def _check_seed(seed: int) -> None:
+    """The one rule for every generator seed, shared by the generators and the CLI."""
+    if seed < 0:
+        raise GraphError(f"seed must be non-negative, got {seed}")
 
 
 def _align_columns(rows: list[tuple[str, ...]]) -> list[str]:

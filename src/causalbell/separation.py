@@ -17,9 +17,9 @@ depth-first search returns the first open path in enumeration order as
 the witness, and so checks the sweep's verdict; it drops a prefix at its
 first closed node or as soon as the sweep's masks show no open trail
 leading on from it. ``compare_criteria`` needs only verdicts, so it runs
-one sweep per criterion for each (y, Z) and builds no witness. Exhaustive
-path enumeration and the per-path predicates are kept as the oracle both
-routes are tested against.
+one sweep per criterion for each (y, Z) and builds no witness. The same
+search with nothing closed is ``enumerate_paths``, every simple path; the
+per-path predicates over it are the oracle both routes are tested against.
 
 All functions are pure over immutable graphs and safe to call
 concurrently.
@@ -63,8 +63,7 @@ class UndirectedPath:
         """Raise GraphError unless every step is an actual edge of ``g``."""
         for a, fwd, b in zip(self.nodes, self.forward, self.nodes[1:]):
             tail, head = (a, b) if fwd else (b, a)
-            children = g._cmask[g.index(tail)]
-            if head not in g or not children >> g.index(head) & 1:
+            if tail not in g or head not in g or not g._cmask[g.index(tail)] >> g.index(head) & 1:
                 raise GraphError(f"path step {a}{'->' if fwd else '<-'}{b} is not an edge")
 
     def colliders(self) -> tuple[str, ...]:
@@ -83,36 +82,19 @@ class SeparationVerdict:
 
 
 def enumerate_paths(g: Dag, u: str, v: str) -> list[UndirectedPath]:
-    """All simple undirected paths from ``u`` to ``v``, in DFS order.
+    """All simple undirected paths from ``u`` to ``v``, in DFS order: the
+    witness search with every node open.
 
     Neighbour expansion follows node declaration order, so the output
     order is a deterministic function of the graph. Exponential in the
     worst case; the deciders never call it, the tests use it as the
     oracle for their verdicts and witnesses.
     """
-    start = g.index(u)
-    end = g.index(v)
+    start, end = g.index(u), g.index(v)
     if u == v:
         raise GraphError("path endpoints must differ")
-    pmask, cmask, names = g._pmask, g._cmask, g._names
-    out: list[UndirectedPath] = []
-    nodes: list[str] = [u]
-    dirs: list[bool] = []
-
-    def extend(cur: int, on_path: int) -> None:
-        children = cmask[cur]
-        for nxt in _bits((pmask[cur] | children) & ~on_path):
-            nodes.append(names[nxt])
-            dirs.append(bool(children >> nxt & 1))
-            if nxt == end:
-                out.append(UndirectedPath(tuple(nodes), tuple(dirs)))
-            else:
-                extend(nxt, on_path | 1 << nxt)
-            nodes.pop()
-            dirs.pop()
-
-    extend(start, 1 << start)
-    return out
+    full = (1 << len(g)) - 1
+    return list(_open_paths(g, start, end, 0, full, full, full))
 
 
 def path_d_blocked(g: Dag, p: UndirectedPath, z: frozenset[str] | set[str]) -> bool:
@@ -190,7 +172,8 @@ def _states_reaching(pmask: list[int], cmask: list[int], y: int, blockers: int,
 def _open_paths(g: Dag, x: int, y: int, blockers: int, activators: int,
                 up: int, down: int) -> Iterator[UndirectedPath]:
     """Yield the simple x-y paths open at every interior node, under the
-    rule of ``_states_reaching``, lazily and in ``enumerate_paths`` order.
+    rule of ``_states_reaching``, lazily and depth-first, each node's
+    neighbours in declaration order.
 
     An interior node's status depends only on its two path edges, so each
     level of the search keeps only the neighbours it may go on to: a

@@ -97,8 +97,10 @@ def test_lhv_model_validation():
 
 def test_random_lhv_rejects_a_hidden_value_cardinality_below_one():
     for card in (0, -3):
-        with pytest.raises(GraphError, match=f"lambda cardinality must be positive, got {card}"):
-            random_lhv(1, lambda_card=card)
+        for make in (lambda: random_lhv(1, lambda_card=card), lambda: bell_dag(card)):
+            with pytest.raises(GraphError,
+                               match=f"^lambda cardinality must be positive, got {card}$"):
+                make()
 
 
 def test_deterministic_model_copies_settings():

@@ -343,6 +343,12 @@ def test_a_flag_rule_has_the_library_message(singlet_file, dist_file, capsys):
          lambda: distributions.graphoid_audit(p, 1e-9, 0, 1)),
         (["bell-member", singlet_file, "--eps", "nan"],
          lambda: bell.lhv_membership(b, float("nan"))),
+        (["gen", "random-lhv", "--seed", "-1"], lambda: bell.random_lhv(-1)),
+        (["graphoid", dist_file, "--trials", "3", "--seed", "-2"],
+         lambda: distributions.graphoid_audit(p, 1e-9, 3, -2)),
+        (["gen", "random-lhv", "--seed", "1", "--lambda-card", "0"],
+         lambda: bell.random_lhv(1, 0)),
+        (["gen", "bell-dag", "--lambda-card", "0"], lambda: bell_dag(0)),
     ):
         with pytest.raises(GraphError) as raised:
             call()

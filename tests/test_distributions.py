@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from causalbell.bell import Behavior, LhvModel, bell_dag
+from causalbell.bell import Behavior, LhvModel, bell_dag, random_lhv
 from causalbell.distributions import (
     DIRECT_CAUSE,
     SCREENED,
@@ -104,6 +104,12 @@ def test_conditional_table_validation():
         ConditionalTable("P", ("P",), np.full((2, 2), 0.5))
     with pytest.raises(GraphError, match="non-finite"):
         ConditionalTable("P", (), np.array([np.nan, 0.5]))
+
+
+def test_the_generators_reject_a_negative_seed():
+    for make in (lambda: random_compatible(bell_dag(lambda_card=3), -5), lambda: random_lhv(-5)):
+        with pytest.raises(GraphError, match="^seed must be non-negative, got -5$"):
+            make()
 
 
 def test_marginal_orders_axes():
@@ -492,6 +498,8 @@ def test_graphoid_audit_deterministic_per_seed():
 def test_graphoid_audit_validates_arguments():
     with pytest.raises(GraphError, match="trials"):
         graphoid_audit(coins(), trials=0, seed=1)
+    with pytest.raises(GraphError, match="^seed must be non-negative, got -2$"):
+        graphoid_audit(coins(), trials=3, seed=-2)
     with pytest.raises(GraphError, match="eps"):
         graphoid_audit(coins(), eps=-1.0, trials=10, seed=1)
     for bad in (np.nan, np.inf):

@@ -34,26 +34,46 @@ def test_bell_has_one_path_between_outcomes(bell):
     assert [str(p) for p in paths] == ["A<-Lambda->B"]
 
 
-def test_enumerate_paths_matches_networkx_simple_paths():
-    nx = pytest.importorskip("networkx")
+def _random_dense_graphs():
+    """60 seeded 8-10-node graphs, one random ordered pair each."""
     rng = np.random.default_rng(47)
-    total = 0
     for _ in range(60):
         g = random_typed_dag(rng, n_nodes=int(rng.integers(8, 11)), edge_prob=0.6)
+        yield g, [tuple(str(w) for w in rng.choice(g.names, size=2, replace=False))]
+
+
+def _every_small_dag():
+    """Every DAG on 2-5 nodes, every pair u before v in declaration order."""
+    for n in range(2, 6):
+        for g in all_dags(n):
+            yield g, itertools.combinations(g.names, 2)
+
+
+@pytest.mark.parametrize("graphs, n_pairs, least_paths", [
+    pytest.param(_random_dense_graphs, 60, 2000, id="random-8-10-nodes"),
+    pytest.param(_every_small_dag, 296_146, 1_000_000, id="every-dag-2-5-nodes",
+                 marks=pytest.mark.slow),
+])
+def test_enumerate_paths_matches_networkx_simple_paths(graphs, n_pairs, least_paths):
+    nx = pytest.importorskip("networkx")
+    pairs = total = 0
+    for g, ends in graphs():
         # edges sorted by their endpoints' declaration indices give every
         # node its neighbours in declaration order, so networkx's DFS
         # yields the paths in enumeration order
         ug = nx.Graph()
         ug.add_nodes_from(g.names)
         ug.add_edges_from(sorted(g.edges, key=lambda e: sorted(map(g.index, e))))
-        u, v = (str(w) for w in rng.choice(g.names, size=2, replace=False))
-        paths = enumerate_paths(g, u, v)
-        for p in paths:
-            p.check_in(g)
-        got = [p.nodes for p in paths]
-        assert got == [tuple(p) for p in nx.all_simple_paths(ug, u, v)]
-        total += len(got)
-    assert total > 2000
+        for u, v in ends:
+            paths = enumerate_paths(g, u, v)
+            for p in paths:
+                p.check_in(g)
+            got = [p.nodes for p in paths]
+            assert got == [tuple(p) for p in nx.all_simple_paths(ug, u, v)], (g.edges, u, v)
+            pairs += 1
+            total += len(got)
+    assert pairs == n_pairs
+    assert total > least_paths
 
 
 def test_isolated_nodes_have_no_paths():
@@ -80,6 +100,14 @@ def test_path_validation():
     with pytest.raises(GraphError):
         UndirectedPath(("P", "Q"), (False,)).check_in(g)  # wrong direction
     UndirectedPath(("P", "Q"), (True,)).check_in(g)
+    # a node outside the graph is a GraphError at either end of a step
+    for path in (UndirectedPath(("P", "Z"), (True,)),   # unknown head
+                 UndirectedPath(("Z", "Q"), (True,)),   # unknown tail
+                 UndirectedPath(("Q", "Z"), (False,))):  # unknown tail, reversed
+        for check in (path.check_in, lambda g: path_d_blocked(g, path, set()),
+                      lambda g: path_q_inactive(g, path, set())):
+            with pytest.raises(GraphError, match="is not an edge"):
+                check(g)
 
 
 # --- classical per-path rule ----------------------------------------------------
