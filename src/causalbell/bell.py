@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import CiReport, JointTable, _check_cells, _read_rows, _stochastic, ci_holds
-from .graph import DEFAULT_LAMBDA_CARD, CondQuery, GraphError, _check_lambda_card, _directive_lines
+from .graph import DEFAULT_LAMBDA_CARD, CondQuery, GraphError, _check_lambda_card, _directive_lines, _is_int
 from .graph import bell_dag  # noqa: F401  (the scenario's DAG, also public here)
 from .report import AuditReport, CheckResult, _check_eps, _check_seed
 from .simplex import OPTIMAL, solve_lp
@@ -124,7 +124,7 @@ def _facet_value(e: np.ndarray, variant: int) -> float:
 
 def chsh_value(b: Behavior, variant: int = 0) -> float:
     """Signed correlator sum for one of the 8 facet variants."""
-    if not (isinstance(variant, (int, np.integer)) and 0 <= variant <= 7):
+    if not (_is_int(variant) and 0 <= variant <= 7):
         raise GraphError(f"variant must be an integer in 0..7, got {variant!r}")
     return _facet_value(correlators(b), variant)
 

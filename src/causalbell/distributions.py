@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .graph import CondQuery, Dag, GraphError, _directive_lines
+from .graph import CondQuery, Dag, GraphError, _check_int, _directive_lines, _is_int
 from .report import Assignment, AuditReport, CheckResult, _check_eps, _check_seed
 
 MAX_TABLE_CELLS = 1 << 20
@@ -74,7 +74,10 @@ class JointTable:
     probabilities: np.ndarray
 
     def __post_init__(self) -> None:
-        variables = tuple((str(n), int(c)) for n, c in self.variables)
+        for n, c in self.variables:
+            if not isinstance(n, str) or not n.isidentifier() or not _is_int(c):
+                raise GraphError(f"bad variable declaration {n!r}: {c!r}")
+        variables = tuple((n, int(c)) for n, c in self.variables)
         names = [n for n, _ in variables]
         if len(set(names)) != len(names):
             raise GraphError("duplicate variable names")
@@ -382,8 +385,7 @@ def graphoid_audit(p: JointTable, eps: float = 1e-9, trials: int = 1000,
     tables with zeros are counted as gated, never as failures, and the
     gate is surfaced in the report.
     """
-    if trials <= 0:
-        raise GraphError(f"trials must be positive, got {trials!r}")
+    _check_int(trials, "trials", 1)
     _check_eps(eps)
     _check_seed(seed)
     if len(p.names) < 2:

@@ -11,16 +11,17 @@ Internally node i is the bit ``1 << i`` of a Python int, i its declaration
 index, and the edges are one parent mask and one child mask per node, so
 ascending bit order is declaration order. Construction fills the masks,
 checks duplicate edges with a bit test and sorts topologically with
-Kahn's algorithm on a mask of ready nodes. The two closures of the edge
-masks, ancestor and descendant masks, are built on first use and kept;
-they and the edge masks are the only structure a graph holds, and every
-name-level view reads one mask and names its members.
+Kahn's algorithm on a mask of ready nodes. Nothing else is stored: a
+causal past or future is closed from the set asked about along the
+parent or child masks, and every name-level view names the members of
+one mask.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Container, Iterable, Iterator, Sequence
 
 
@@ -63,10 +64,7 @@ class Dag:
     duplicate edges, edges into latent nodes and directed cycles.
     """
 
-    __slots__ = (
-        "_names", "_index", "_kinds", "_cards", "_pmask", "_cmask", "_edges", "_order",
-        "_amask", "_dmask",
-    )
+    __slots__ = ("_names", "_index", "_kinds", "_cards", "_pmask", "_cmask", "_edges", "_order")
 
     def __init__(
         self,
@@ -86,13 +84,13 @@ class Dag:
                 node_kind = _KIND_OF[kind]
             except (KeyError, TypeError):
                 raise GraphError(f"node {name!r}: unknown kind {kind!r}") from None
-            if not isinstance(card, int) or isinstance(card, bool) or card < 1:
+            if not _is_int(card) or card < 1:
                 raise GraphError(
                     f"node {name!r}: cardinality must be positive and integral, got {card!r}")
             index[name] = len(names)
             names.append(name)
             kinds.append(node_kind)
-            cards.append(card)
+            cards.append(int(card))
 
         pmask = [0] * len(names)
         cmask = [0] * len(names)
@@ -122,8 +120,6 @@ class Dag:
         self._cmask = cmask
         self._edges = tuple(edge_list)
         self._order = self._toposort()
-        self._amask: list[int] | None = None
-        self._dmask: list[int] | None = None
 
     def _toposort(self) -> list[int]:
         # Kahn's algorithm on a mask of ready nodes: always emit the lowest
@@ -230,36 +226,16 @@ class Dag:
 
     def ancestors(self, name: str) -> frozenset[str]:
         """Transitive closure of parents; does not include the node itself."""
-        return frozenset(self._members(self._ancestor_masks()[self.index(name)]))
+        return frozenset(self._members(_closure(self._pmask, self._pmask[self.index(name)])))
 
     def descendants(self, name: str) -> frozenset[str]:
         """All nodes that have ``name`` as an ancestor."""
-        return frozenset(self._members(self._descendant_masks()[self.index(name)]))
+        return frozenset(self._members(_closure(self._cmask, self._cmask[self.index(name)])))
 
     def _members(self, mask: int) -> tuple[str, ...]:
         # the names of the nodes in ``mask``, in declaration order
         names = self._names
         return tuple([names[i] for i in _bits(mask)])
-
-    def _ancestor_masks(self) -> list[int]:
-        """Each node's ancestors as a mask, in declaration order.
-
-        Package-internal: the parent masks closed along the topological
-        order on first use and kept; callers must not mutate it.
-        """
-        if self._amask is None:
-            self._amask = _close_along(self._pmask, self._order)
-        return self._amask
-
-    def _descendant_masks(self) -> list[int]:
-        """Each node's descendants as a mask, in declaration order.
-
-        Package-internal: the child masks closed along the reversed
-        topological order on first use and kept; callers must not mutate it.
-        """
-        if self._dmask is None:
-            self._dmask = _close_along(self._cmask, self._order[::-1])
-        return self._dmask
 
     def topological_order(self) -> list[str]:
         """Every edge tail precedes its head; ties broken by declaration."""
@@ -276,16 +252,16 @@ class Dag:
         return "\n".join(lines) + "\n"
 
 
-def _close_along(masks: list[int], order: Iterable[int]) -> list[int]:
-    """The transitive closure of the relation whose node i relates to the
-    members of ``masks[i]``; ``order`` lists each node after all of them."""
-    closed = [0] * len(masks)
-    for i in order:
-        m = masks[i]
-        for j in _bits(m):
-            m |= closed[j]
-        closed[i] = m
-    return closed
+def _closure(masks: list[int], m: int) -> int:
+    """``m`` plus every node reachable from it along ``masks``, node i leading to ``masks[i]``."""
+    todo = m
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = masks[low.bit_length() - 1] & ~m
+        m |= new
+        todo |= new
+    return m
 
 
 def _bits(mask: int) -> list[int]:
@@ -298,13 +274,25 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _is_int(value: object) -> bool:
+    """An int or a numpy integer, not a bool: the one integer test."""
+    return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _check_int(value: object, what: str, least: int) -> None:
+    """The one rule for an integer argument: ``_is_int``, and at least ``least`` (0 or 1)."""
+    if not _is_int(value):
+        raise GraphError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise GraphError(f"{what} must be {'positive' if least else 'non-negative'}, got {value}")
+
+
 DEFAULT_LAMBDA_CARD = 16
 
 
 def _check_lambda_card(lambda_card: int) -> None:
     """The one rule for the hidden variable's cardinality."""
-    if lambda_card < 1:
-        raise GraphError(f"lambda cardinality must be positive, got {lambda_card!r}")
+    _check_int(lambda_card, "lambda cardinality", 1)
 
 
 def bell_dag(lambda_card: int = DEFAULT_LAMBDA_CARD) -> Dag:
@@ -320,8 +308,6 @@ def bell_dag(lambda_card: int = DEFAULT_LAMBDA_CARD) -> Dag:
         ],
         edges=[("X", "A"), ("Lambda", "A"), ("Lambda", "B"), ("Y", "B")],
     )
-
-
 
 
 def _directive_lines(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -412,6 +398,10 @@ class CondQuery:
             raise GraphError("query sets X and Y must be nonempty")
         if self.x & self.y or self.x & self.z or self.y & self.z:
             raise GraphError("overlapping query sets")
-        unknown = {v for v in self.x | self.y | self.z if v not in universe}
-        if unknown:
-            raise GraphError(f"unknown node(s) in query: {sorted(unknown)}")
+        _check_known(universe, self.x | self.y | self.z)
+
+
+def _check_known(universe: Container[str], names: Iterable[str]) -> None:
+    unknown = {v for v in names if v not in universe}
+    if unknown:
+        raise GraphError(f"unknown node(s) in query: {sorted(unknown)}")

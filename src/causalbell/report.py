@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .graph import GraphError
+from .graph import GraphError, _check_int
 
 Assignment = tuple[tuple[str, int], ...]
 
@@ -25,8 +25,7 @@ def _check_eps(eps: float) -> None:
 
 def _check_seed(seed: int) -> None:
     """The one rule for every generator seed, shared by the generators and the CLI."""
-    if seed < 0:
-        raise GraphError(f"seed must be non-negative, got {seed}")
+    _check_int(seed, "seed", 0)
 
 
 def _align_columns(rows: list[tuple[str, ...]]) -> list[str]:

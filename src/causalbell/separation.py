@@ -7,10 +7,10 @@ only ever consult the *outcome* members of Z. Both set-level deciders run
 on one reachability sweep over (node, travel-direction) states, the
 Bayes-Ball sweep (Shachter, UAI 1998; Geiger, Verma & Pearl, Networks 20,
 1990), linear in the size of the graph. It works on the graph's per-node
-parent, child and ancestor bit masks: the query becomes a blocker mask
-and an activator mask (a set plus its ancestors), and the states found
-are two masks, one per travel direction, grown a frontier at a time. The
-typed rule never blocks at a non-collider and its endpoint clauses do not
+parent and child bit masks: the query becomes a blocker mask and an
+activator mask (a set plus its ancestors), and the states found are two
+masks, one per travel direction, grown a frontier at a time. The typed
+rule never blocks at a non-collider and its endpoint clauses do not
 depend on the path, so it is the same sweep with no blockers plus a mask
 of the x each y admits. When a query comes back "not separated", a lazy
 depth-first search returns the first open path in enumeration order as
@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .graph import CondQuery, Dag, GraphError, NodeKind, _bits
+from .graph import CondQuery, Dag, GraphError, NodeKind, _check_known, _closure
 from .report import _align_columns
 
 
@@ -104,6 +104,7 @@ def path_d_blocked(g: Dag, p: UndirectedPath, z: frozenset[str] | set[str]) -> b
     m in Z, or (b) a collider with m not in Z and no descendant of m in Z.
     """
     p.check_in(g)
+    _check_known(g, z)
     z = frozenset(z)
     for i in range(1, len(p.nodes) - 1):
         m = p.nodes[i]
@@ -121,14 +122,6 @@ def _mask(index: dict[str, int], names) -> int:
     m = 0
     for v in names:
         m |= 1 << index[v]
-    return m
-
-
-def _closed(amask: list[int], m: int) -> int:
-    """``m`` plus the ancestors of its members: the nodes that are in ``m``
-    or have a descendant there."""
-    for i in _bits(m):
-        m |= amask[i]
     return m
 
 
@@ -244,7 +237,7 @@ def d_separated(g: Dag, q: CondQuery) -> SeparationVerdict:
     """
     q.validate(g)
     z = _mask(g._index, q.z)
-    return _decide(g, q, z, _closed(g._ancestor_masks(), z))
+    return _decide(g, q, z, _closure(g._pmask, z))
 
 
 def path_q_inactive(g: Dag, p: UndirectedPath, z: frozenset[str] | set[str]) -> bool:
@@ -260,6 +253,7 @@ def path_q_inactive(g: Dag, p: UndirectedPath, z: frozenset[str] | set[str]) -> 
             no directed path to any outcome in Z.
     """
     p.check_in(g)
+    _check_known(g, z)
     u, v = p.nodes[0], p.nodes[-1]
     ku, kv = g.kind(u), g.kind(v)
     if NodeKind.LATENT in (ku, kv):
@@ -297,7 +291,7 @@ def q_separated(g: Dag, q: CondQuery) -> SeparationVerdict:
     # A node outside Z reaches an outcome in Z iff it lies in this set;
     # colliders are open only inside it and nothing else ever blocks.
     z_outcomes = _mask(index, [v for v in q.z if kinds[index[v]] is NodeKind.OUTCOME])
-    reaches = _closed(g._ancestor_masks(), z_outcomes)
+    reaches = _closure(g._pmask, z_outcomes)
     return _decide(g, q, 0, reaches, lambda y: _ends_open(g, y, settings, reaches))
 
 
@@ -309,12 +303,12 @@ def _ends_open(g: Dag, y: int, settings: int, reaches: int) -> int:
     that are settings or outcomes."""
     if not settings >> y & 1:
         # an outcome y: a setting x needs a directed path to y or to Z's outcomes
-        return ~settings | g._ancestor_masks()[y] | reaches
+        return ~settings | _closure(g._pmask, g._pmask[y]) | reaches
     if reaches >> y & 1:
         # a setting y with a directed path to Z's outcomes: a setting x needs one too
         return ~settings | reaches
     # a setting y without one: only the outcomes below y
-    return g._descendant_masks()[y] & ~settings
+    return _closure(g._cmask, g._cmask[y]) & ~settings
 
 
 MAX_COMPARE_NODES = 12
@@ -377,12 +371,13 @@ def compare_criteria(g: Dag) -> CompareReport:
             f"compare_criteria supports at most {MAX_COMPARE_NODES} nodes, got {len(g)}"
         )
     names, kinds, pmask, cmask = g._names, g._kinds, g._pmask, g._cmask
-    amask = g._ancestor_masks()
     outcomes = _mask(g._index, g.nodes_of_kind(NodeKind.OUTCOME))
     settings = _mask(g._index, g.nodes_of_kind(NodeKind.SETTING))
     endpoints = [i for i, k in enumerate(kinds) if k is not NodeKind.LATENT]
     # (y, Z mask) -> (nodes d-connected to y, nodes q-connected to y)
     connected: dict[tuple[int, int], tuple[int, int]] = {}
+    # Z mask -> (Z and its ancestors, Z's outcomes and their ancestors)
+    closed: dict[int, tuple[int, int]] = {}
     rows: list[CompareRow] = []
     for x, y in itertools.combinations(endpoints, 2):
         # every subset of the remaining nodes, in the order of the bits of
@@ -396,9 +391,11 @@ def compare_criteria(g: Dag) -> CompareReport:
         for z, m in zip(zs, masks):
             found = connected.get((y, m))
             if found is None:
-                reaches = _closed(amask, m & outcomes)
+                if m not in closed:
+                    closed[m] = _closure(pmask, m), _closure(pmask, m & outcomes)
+                activators, reaches = closed[m]
                 found = connected[y, m] = (
-                    _states_reaching(pmask, cmask, y, m, _closed(amask, m))[0],
+                    _states_reaching(pmask, cmask, y, m, activators)[0],
                     _states_reaching(pmask, cmask, y, 0, reaches)[0]
                     & _ends_open(g, y, settings, reaches),
                 )

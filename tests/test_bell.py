@@ -60,6 +60,9 @@ def test_bell_dag_structure():
 
 def test_bell_dag_configurable_cardinality():
     assert bell_dag(lambda_card=3).cardinality("Lambda") == 3
+    # a numpy integer is an integer, here as for random_lhv
+    assert type(bell_dag(np.int64(3)).cardinality("Lambda")) is int
+    assert random_lhv(1, np.int64(3)).lambda_weights.shape == (3,)
 
 
 # --- behaviors and models --------------------------------------------------------
@@ -100,6 +103,11 @@ def test_random_lhv_rejects_a_hidden_value_cardinality_below_one():
         for make in (lambda: random_lhv(1, lambda_card=card), lambda: bell_dag(card)):
             with pytest.raises(GraphError,
                                match=f"^lambda cardinality must be positive, got {card}$"):
+                make()
+    for card in (2.5, math.nan, True):
+        for make in (lambda: random_lhv(1, lambda_card=card), lambda: bell_dag(card)):
+            with pytest.raises(GraphError,
+                               match=f"^lambda cardinality must be an integer, got {card!r}$"):
                 make()
 
 
@@ -184,7 +192,7 @@ def test_singlet_standard_angles_hit_the_quantum_bound():
 
 
 def test_chsh_variant_range():
-    for variant in (8, -1, 1.5, "1", None):
+    for variant in (8, -1, 1.5, "1", None, True):
         with pytest.raises(GraphError, match="variant must be an integer in 0..7"):
             chsh_value(pr_box(), variant)
     assert chsh_value(pr_box(), np.int64(4)) == chsh_value(pr_box(), 4) == -4.0

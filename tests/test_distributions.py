@@ -64,6 +64,11 @@ def test_joint_table_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(GraphError, match="non-finite"):
             JointTable((("P", 2),), np.array([bad, 0.5]))
+    # the rules of a distribution file's header: identifier names, integer cardinalities
+    for name, card in (("A", 2.5), ("A", True), ("a b", 2), (3, 2)):
+        with pytest.raises(GraphError, match="^bad variable declaration"):
+            JointTable(((name, card),), np.array([0.5, 0.5]))
+    assert JointTable((("A", np.int64(2)),), np.array([0.5, 0.5])).variables == (("A", 2),)
 
 
 def test_tables_are_write_locked():
@@ -110,6 +115,12 @@ def test_the_generators_reject_a_negative_seed():
     for make in (lambda: random_compatible(bell_dag(lambda_card=3), -5), lambda: random_lhv(-5)):
         with pytest.raises(GraphError, match="^seed must be non-negative, got -5$"):
             make()
+    # a seed is an integer: a float or a bool is refused, not truncated or taken as 1
+    for seed in (1.5, 2.5, True):
+        for make in (lambda: random_compatible(bell_dag(lambda_card=3), seed),
+                     lambda: random_lhv(seed)):
+            with pytest.raises(GraphError, match=f"^seed must be an integer, got {seed!r}$"):
+                make()
 
 
 def test_marginal_orders_axes():
@@ -496,8 +507,10 @@ def test_graphoid_audit_deterministic_per_seed():
 
 
 def test_graphoid_audit_validates_arguments():
-    with pytest.raises(GraphError, match="trials"):
+    with pytest.raises(GraphError, match="^trials must be positive, got 0$"):
         graphoid_audit(coins(), trials=0, seed=1)
+    with pytest.raises(GraphError, match="^trials must be an integer, got 2.5$"):
+        graphoid_audit(coins(), 1e-9, 2.5, 1)
     with pytest.raises(GraphError, match="^seed must be non-negative, got -2$"):
         graphoid_audit(coins(), trials=3, seed=-2)
     with pytest.raises(GraphError, match="eps"):

@@ -161,8 +161,10 @@ def test_constructor_rejects_bad_input():
         Dag([("bad name", "outcome", 2)])
     with pytest.raises(GraphError, match="duplicate node"):
         Dag([("X", "outcome", 2), ("X", "outcome", 2)])
-    with pytest.raises(GraphError, match="cardinality"):
-        Dag([("X", "outcome", 0)])
+    for card in (0, 2.5, True):
+        with pytest.raises(GraphError, match="cardinality"):
+            Dag([("X", "outcome", card)])
+    assert type(Dag([("X", "outcome", np.int64(2))]).cardinality("X")) is int
     with pytest.raises(GraphError, match="unknown kind"):
         Dag([("X", "thing", 2)])
     with pytest.raises(GraphError, match="unknown edge endpoint"):

@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import numpy as np
@@ -108,6 +109,12 @@ def test_path_validation():
                       lambda g: path_q_inactive(g, path, set())):
             with pytest.raises(GraphError, match="is not an edge"):
                 check(g)
+    # an unknown name in Z is the error the deciders' query check raises
+    path = UndirectedPath(("P", "Q"), (True,))
+    decider = lambda g, p, z: d_separated(g, CondQuery({"P"}, {"Q"}, z))  # noqa: E731
+    for check in (path_d_blocked, path_q_inactive, decider):
+        with pytest.raises(GraphError, match=r"^unknown node\(s\) in query: \['R'\]$"):
+            check(g, path, {"R"})
 
 
 # --- classical per-path rule ----------------------------------------------------
@@ -419,6 +426,70 @@ def test_dsep_matches_networkx_on_larger_graphs():
             w = verdict.witness
             assert w.nodes[0] in x and w.nodes[-1] in y
             assert not path_d_blocked(g, w, z)  # also checks every step is an edge
+        for v in g.names:  # causal past and future, closed per call
+            assert g.ancestors(v) == nx.ancestors(ng, v), (g.to_text(), v)
+            assert g.descendants(v) == nx.descendants(ng, v), (g.to_text(), v)
+    assert 50 < connected < 250
+
+
+def _q_separated_by_reduction(nx, g: Dag, x: set, y: set, z: set) -> bool:
+    """The typed criterion decided by networkx alone.
+
+    Clauses (i) and (ii) depend on a pair's endpoints only and are read off
+    their descendant sets. Clause (iii) opens a collider iff it is an
+    outcome in Z or has a directed path to one, and a non-collider never
+    blocks. Give every outcome w in Z a leaf child w': a leaf with one
+    parent is interior to no simple path, so it blocks nothing, and
+    conditioning on the leaves activates exactly the outcomes in Z and
+    their ancestors. Clause (iii) is then d-separation given the leaves.
+    """
+    z_outcomes = {w for w in z if g.kind(w) is NodeKind.OUTCOME}
+    leaves = {(w, "leaf") for w in z_outcomes}
+    ng = nx.DiGraph(g.edges)
+    ng.add_nodes_from(g.names)
+    ng.add_edges_from((w, (w, "leaf")) for w in z_outcomes)
+
+    def reaches(v):
+        return bool(nx.descendants(ng, v) & z_outcomes)
+
+    for a in x:
+        for b in y:
+            settings = [v for v in (a, b) if g.kind(v) is NodeKind.SETTING]
+            if len(settings) == 2:
+                ends_inactive = not reaches(a) or not reaches(b)  # clause (i)
+            elif settings:
+                s, o = (a, b) if settings == [a] else (b, a)
+                ends_inactive = o not in nx.descendants(ng, s) and not reaches(s)  # clause (ii)
+            else:
+                ends_inactive = False
+            if not ends_inactive and not nx.is_d_separator(ng, {a}, {b}, leaves):
+                return False
+    return True
+
+
+def test_qsep_matches_networkx_reduction_on_larger_graphs():
+    """A third route for the typed criterion, beyond the sizes path
+    enumeration can reach."""
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(43)
+    connected = 0
+    for _ in range(300):
+        n = int(rng.integers(10, 41))
+        g = random_typed_dag(rng, n_nodes=n, edge_prob=float(rng.uniform(0.03, 0.3)))
+        observed = [v for v in g.names if g.kind(v) is not NodeKind.LATENT]
+        rng.shuffle(observed)
+        kx, ky = (int(k) for k in rng.integers((1, 1), (4, 4)))
+        x, y = set(observed[:kx]), set(observed[kx:kx + ky])
+        rest = [v for v in g.names if v not in x | y]
+        z = set(rng.choice(rest, size=min(len(rest), int(rng.integers(0, 10))), replace=False))
+        verdict = q_separated(g, CondQuery(x, y, z))
+        expected = _q_separated_by_reduction(nx, g, x, y, z)
+        assert verdict.separated == expected, (g.to_text(), x, y, z)
+        if not verdict.separated:
+            connected += 1
+            w = verdict.witness
+            assert w.nodes[0] in x and w.nodes[-1] in y
+            assert not path_q_inactive(g, w, z)  # also checks every step is an edge
     assert 50 < connected < 250
 
 
@@ -464,6 +535,29 @@ def test_compare_rows_match_per_query_deciders():
                                           q_separated(g, q).separated), (g.to_text(), r)
             rows += 1
     assert rows > 5000
+
+
+def test_no_query_writes_to_the_graph(bell):
+    """A Dag is its declarations, edge masks and topological order: every
+    view and every decider reads them and stores nothing back."""
+    rng = np.random.default_rng(5)
+    for g in (bell, random_typed_dag(rng, n_nodes=8)):
+        before = {slot: copy.deepcopy(getattr(g, slot)) for slot in Dag.__slots__}
+        names = g.names
+        len(g), g.edges, repr(g), g == g, g.topological_order(), g.to_text()
+        for kind in NodeKind:
+            g.nodes_of_kind(kind)
+        for v in names:
+            v in g, g.index(v), g.kind(v), g.cardinality(v), g.parents(v), g.children(v)
+            g.ordered_parents(v), g.ordered_children(v), g.ancestors(v), g.descendants(v)
+        observed = [v for v in names if g.kind(v) is not NodeKind.LATENT]
+        for a, b in itertools.combinations(observed, 2):
+            rest = set(names) - {a, b}
+            for decide in (d_separated, q_separated):
+                decide(g, CondQuery({a}, {b}, rest))
+                decide(g, CondQuery({a}, {b}))
+        compare_criteria(g)
+        assert {slot: getattr(g, slot) for slot in Dag.__slots__} == before
 
 
 def test_compare_rejects_large_graphs():
