@@ -8,6 +8,9 @@ command-line front end (`cli`).
 The graph, report and separation layers use only the standard library and
 load with the package. The numpy-backed names of `bell` and `distributions`
 are resolved on first access, so graph-only callers never import numpy.
+`_LAZY` is the one place that says which names those are: the CLI reaches
+every library call through this package, so it loads numpy only where a
+verb asks for such a name.
 """
 
 import importlib
@@ -38,10 +41,11 @@ _LAZY = {
         "parse_behavior", "pr_box", "quantum_causality_audit", "random_lhv", "singlet_behavior",
     ), "bell"),
     **dict.fromkeys((
-        "CiReport", "ConditionalTable", "JointTable", "RpccReport", "causal_completeness_check",
-        "causal_markov_check", "chain_factorize", "ci_holds", "compatible",
-        "format_distribution", "graphoid_audit", "joint_from_tables", "parse_distribution",
-        "random_compatible", "random_conditional_tables", "reichenbach_check",
+        "CiReport", "ConditionalTable", "JointTable", "RpccReport", "VIOLATES_RPCC",
+        "causal_completeness_check", "causal_markov_check", "chain_factorize", "ci_holds",
+        "compatible", "format_distribution", "graphoid_audit", "joint_from_tables",
+        "parse_distribution", "random_compatible", "random_conditional_tables",
+        "reichenbach_check",
     ), "distributions"),
 }
 

@@ -135,6 +135,9 @@ def singlet_behavior(theta0: float, theta1: float, phi0: float, phi1: float) -> 
     P(a,b|x,y) = (1 + (-1)^(a xor b) E(x,y)) / 4 with E(x,y) = -cos(theta_x - phi_y).
     Outcome marginals are exactly one half, so the table never signals.
     """
+    angles = (theta0, theta1, phi0, phi1)
+    if not all(map(math.isfinite, angles)):
+        raise GraphError(f"singlet angles must be finite, got {angles}")
     thetas = (theta0, theta1)
     phis = (phi0, phi1)
     e = np.array([[-math.cos(tx - py) for py in phis] for tx in thetas])

@@ -7,46 +7,45 @@ seed and reports are byte-stable across runs for equal inputs.
 
 Each verb is declared once, by one `verb(...)` call in `_parser()`: its
 subparser, input files, own flags, `--eps` when it takes a tolerance, and
-its handler, bound there to the library call it makes. `run` applies the
-library's rules for `--eps`, `--seed` and `--lambda-card` before any file
-is read, and `gen` checks its own flags before it reads `--dag`; every
-other rule is the library's, raised with its message once the inputs are
-read. A handler loads its inputs with `_load` and hands the report's text
-and verdict to `_verdict`, which writes the text and returns the exit
-status.
+its handler, bound there to the name of the library call it makes. `run`
+applies the library's rules for `--eps`, `--seed` and `--lambda-card`
+before any file is read, then reads the verb's input files in declaration
+order, each with the public parser `_INPUTS` names for it, and calls the
+handler with the parsed objects; `gen` checks its own flags before it
+reads `--dag`. Every other rule is the library's, raised with its message
+once the inputs are read. A handler hands the report's text and verdict to
+`_verdict`, which writes the text and returns the exit status.
 
-Only the graph layers load with this module. A handler bound to the
-numpy-backed `bell` or `distributions` layer names its call and imports
-the module when it runs, so `dsep`, `qsep` and `compare` never import
-numpy.
+Every library call goes through the package (`cb.<name>`), whose `_LAZY`
+table alone decides which names load numpy, so `dsep`, `qsep`, `compare`
+and `gen bell-dag` never import it.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from functools import partial
 from pathlib import Path
-from typing import Callable, TypeVar
 
-from . import separation
-from .graph import (DEFAULT_LAMBDA_CARD, CondQuery, GraphError, _check_lambda_card, bell_dag,
-                    parse_dag)
+import causalbell as cb
+
+from .graph import DEFAULT_LAMBDA_CARD, GraphError, _check_lambda_card
 from .report import _check_eps, _check_seed
 
 PASS = 0
 FAIL = 1
 USAGE = 2
 
-_T = TypeVar("_T")
-
 
 def _node_list(raw: str) -> list[str]:
     return [part.strip() for part in raw.split(",") if part.strip()]
 
 
-_INPUT_HELP = {"dag": "DAG file", "dist": "distribution file", "behavior": "behavior file"}
+# input key -> (help text, name of the public parser that reads the file)
+_INPUTS = {"dag": ("DAG file", "parse_dag"),
+           "dist": ("distribution file", "parse_distribution"),
+           "behavior": ("behavior file", "parse_behavior")}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -58,23 +57,24 @@ def _parser() -> argparse.ArgumentParser:
 
     def verb(name, help_text, handler, *inputs, eps=False, flags=None):
         """Declare a verb: its input files, its own ``flags`` (argument name
-        to ``add_argument`` keywords), then ``--eps``, and its handler."""
+        to ``add_argument`` keywords), then ``--eps``, and its handler, which
+        takes the arguments and then the parsed inputs."""
         p = sub.add_parser(name, help=help_text)
         for key in inputs:
-            p.add_argument(key, help=_INPUT_HELP[key])
+            p.add_argument(key, help=_INPUTS[key][0])
         for flag, kwargs in (flags or {}).items():
             p.add_argument(flag, **kwargs)
         if eps:
             p.add_argument("--eps", type=float, default=1e-9, help="tolerance (default 1e-9)")
-        p.set_defaults(run=handler)
+        p.set_defaults(run=handler, inputs=inputs)
 
     nodes = {"required": True, "help": "comma-separated node list"}
     sep_flags = {"--x": nodes, "--y": nodes,
                  "--z": {"default": "", "help": "comma-separated node list, may be empty"}}
-    verb("dsep", "classical separation query", partial(_cmd_separation, separation.d_separated),
+    verb("dsep", "classical separation query", partial(_cmd_separation, "d_separated"),
          "dag", flags=sep_flags)
     verb("qsep", "typed setting/outcome separation query",
-         partial(_cmd_separation, separation.q_separated), "dag", flags=sep_flags)
+         partial(_cmd_separation, "q_separated"), "dag", flags=sep_flags)
     verb("compare", "tabulate both criteria over all small queries", _cmd_compare, "dag",
          flags={"--csv": {"action": "store_true", "help": "emit comma-separated rows"}})
     verb("compat", "graph compatibility audit", partial(_cmd_dist_audit, "compatible"),
@@ -102,7 +102,7 @@ def _parser() -> argparse.ArgumentParser:
         "--out": {"default": None, "help": "output path (default stdout)"},
         "--seed": {"type": int, "default": None},
         "--angles": {"default": None, "help": "four comma-separated radians"},
-        "--lambda-card": {"type": int, "default": None},
+        "--lambda-card": {"type": int, "default": DEFAULT_LAMBDA_CARD},
         "--dag": {"default": None, "help": "DAG file (random-compatible)"},
     })
     return parser
@@ -114,7 +114,7 @@ def _validate_flags(args: argparse.Namespace) -> None:
         _check_eps(args.eps)
     if getattr(args, "seed", None) is not None:
         _check_seed(args.seed)
-    if getattr(args, "lambda_card", None) is not None:
+    if hasattr(args, "lambda_card"):
         _check_lambda_card(args.lambda_card)
 
 
@@ -126,15 +126,13 @@ def _parse_angles(raw: str) -> tuple[float, float, float, float]:
         a, b, c, d = (float(p) for p in parts)
     except ValueError:
         raise GraphError(f"--angles: malformed number in {raw!r}") from None
-    if not all(map(math.isfinite, (a, b, c, d))):
-        raise GraphError(f"--angles must be finite, got {raw!r}")
     return a, b, c, d
 
 
-def _load(parse: Callable[[str], _T], path: str) -> _T:
-    """``parse`` applied to the file's text; errors name the path."""
+def _load(key: str, path: str):
+    """The file at ``path`` read by input ``key``'s public parser; errors name the path."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
+        return getattr(cb, _INPUTS[key][1])(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise GraphError(f"cannot read {path}: {exc.strerror or exc}") from None
     except GraphError as exc:
@@ -164,71 +162,49 @@ def _verdict(text: str, affirmative: bool) -> int:
     return PASS if affirmative else FAIL
 
 
-def _cmd_separation(decide: Callable, args: argparse.Namespace) -> int:
-    g = _load(parse_dag, args.dag)
-    query = CondQuery(_node_list(args.x), _node_list(args.y), _node_list(args.z))
-    verdict = decide(g, query)
+def _cmd_separation(decide: str, args: argparse.Namespace, g: cb.Dag) -> int:
+    query = cb.CondQuery(_node_list(args.x), _node_list(args.y), _node_list(args.z))
+    verdict = getattr(cb, decide)(g, query)
     text = "separated\n" if verdict.separated else f"not separated\nwitness: {verdict.witness}\n"
     return _verdict(text, verdict.separated)
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    g = _load(parse_dag, args.dag)
-    report = separation.compare_criteria(g)
+def _cmd_compare(args: argparse.Namespace, g: cb.Dag) -> int:
+    report = cb.compare_criteria(g)
     return _verdict(report.to_csv() if args.csv else report.to_text(), not report.disagreements)
 
 
-def _cmd_dist_audit(audit: str, args: argparse.Namespace) -> int:
-    from . import distributions
-
-    g = _load(parse_dag, args.dag)
-    p = _load(distributions.parse_distribution, args.dist)
-    report = getattr(distributions, audit)(p, g, args.eps)
+def _cmd_dist_audit(audit: str, args: argparse.Namespace, g: cb.Dag, p: cb.JointTable) -> int:
+    report = getattr(cb, audit)(p, g, args.eps)
     return _verdict(report.to_text(), report.passed)
 
 
-def _cmd_rpcc(args: argparse.Namespace) -> int:
-    from . import distributions
-
-    g = _load(parse_dag, args.dag)
-    p = _load(distributions.parse_distribution, args.dist)
-    report = distributions.reichenbach_check(
+def _cmd_rpcc(args: argparse.Namespace, g: cb.Dag, p: cb.JointTable) -> int:
+    report = cb.reichenbach_check(
         p, g, _single_node(args.x, "--x"), _single_node(args.y, "--y"), args.eps
     )
-    return _verdict(report.to_text(), report.verdict != distributions.VIOLATES_RPCC)
+    return _verdict(report.to_text(), report.verdict != cb.VIOLATES_RPCC)
 
 
-def _cmd_graphoid(args: argparse.Namespace) -> int:
-    from . import distributions
-
-    p = _load(distributions.parse_distribution, args.dist)
-    report = distributions.graphoid_audit(p, args.eps, args.trials, args.seed)
+def _cmd_graphoid(args: argparse.Namespace, p: cb.JointTable) -> int:
+    report = cb.graphoid_audit(p, args.eps, args.trials, args.seed)
     return _verdict(report.to_text(), report.passed)
 
 
-def _cmd_bell_chsh(args: argparse.Namespace) -> int:
-    from . import bell
-
-    b = _load(bell.parse_behavior, args.behavior)
+def _cmd_bell_chsh(args: argparse.Namespace, b: cb.Behavior) -> int:
     variants = range(8) if args.variant is None else [args.variant]
-    values = [bell.chsh_value(b, v) for v in variants]
+    values = [cb.chsh_value(b, v) for v in variants]
     text = "".join(f"variant {v}: S = {s:.9f}\n" for v, s in zip(variants, values))
     return _verdict(text, max(values) <= 2.0 + args.eps)
 
 
-def _cmd_bell_member(args: argparse.Namespace) -> int:
-    from . import bell
-
-    b = _load(bell.parse_behavior, args.behavior)
-    verdict = bell.lhv_membership(b, args.eps)
+def _cmd_bell_member(args: argparse.Namespace, b: cb.Behavior) -> int:
+    verdict = cb.lhv_membership(b, args.eps)
     return _verdict(verdict.to_text(), verdict.local)
 
 
-def _cmd_behavior_audit(audit: str, args: argparse.Namespace) -> int:
-    from . import bell
-
-    b = _load(bell.parse_behavior, args.behavior)
-    report = getattr(bell, audit)(b, args.eps)
+def _cmd_behavior_audit(audit: str, args: argparse.Namespace, b: cb.Behavior) -> int:
+    report = getattr(cb, audit)(b, args.eps)
     return _verdict(report.to_text(), report.passed)
 
 
@@ -238,36 +214,30 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.kind == "random-compatible" and args.dag is None:
         raise GraphError("gen random-compatible requires --dag")
     angles = None if args.angles is None else _parse_angles(args.angles)
-    lambda_card = DEFAULT_LAMBDA_CARD if args.lambda_card is None else args.lambda_card
     if args.kind == "bell-dag":
-        _emit(bell_dag(lambda_card).to_text(), args.out)
-        return PASS
-
-    from . import bell, distributions
-
-    if args.kind == "singlet":
-        text = bell.format_behavior(bell.singlet_behavior(*(angles or bell.CHSH_ANGLES)))
+        text = cb.bell_dag(args.lambda_card).to_text()
+    elif args.kind == "singlet":
+        text = cb.format_behavior(cb.singlet_behavior(*(angles or cb.CHSH_ANGLES)))
     elif args.kind == "pr-box":
-        text = bell.format_behavior(bell.pr_box())
+        text = cb.format_behavior(cb.pr_box())
     elif args.kind == "random-lhv":
-        model = bell.random_lhv(args.seed, lambda_card)
-        text = bell.format_behavior(bell.behavior_from_lhv(model))
+        model = cb.random_lhv(args.seed, args.lambda_card)
+        text = cb.format_behavior(cb.behavior_from_lhv(model))
     else:  # random-compatible
-        g = _load(parse_dag, args.dag)
-        text = distributions.format_distribution(distributions.random_compatible(g, args.seed))
+        text = cb.format_distribution(cb.random_compatible(_load("dag", args.dag), args.seed))
     _emit(text, args.out)
     return PASS
 
 
 def run(argv: list[str]) -> int:
-    """Parse, validate flags, then dispatch; returns the exit status."""
+    """Parse, validate flags, read the verb's inputs, then dispatch; returns the exit status."""
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else int(exc.code or 0)
     try:
         _validate_flags(args)
-        return args.run(args)
+        return args.run(args, *(_load(key, getattr(args, key)) for key in args.inputs))
     except (GraphError, KeyError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .graph import CondQuery, Dag, GraphError, _check_int, _directive_lines, _is_int
+from .graph import CondQuery, Dag, GraphError, _check_int, _check_known, _directive_lines, _is_int
 from .report import Assignment, AuditReport, CheckResult, _check_eps, _check_seed
 
 MAX_TABLE_CELLS = 1 << 20
@@ -345,6 +345,7 @@ def reichenbach_check(p: JointTable, g: Dag, x: str, y: str,
     """
     _check_eps(eps)
     _check_same_variables(p, g)
+    _check_known(g, (x, y))
     if x == y:
         raise GraphError("x and y must differ")
     common = tuple(sorted(g.ancestors(x) & g.ancestors(y), key=g.index))
@@ -551,6 +552,8 @@ def parse_distribution(text: str) -> JointTable:
             raise GraphError(f"line {lineno}: bad cardinality in {tok!r}") from None
         if not name.isidentifier() or card < 1:
             raise GraphError(f"line {lineno}: bad variable declaration {tok!r}")
+        if any(name == n for n, _ in variables):
+            raise GraphError(f"line {lineno}: duplicate variable {name!r}")
         variables.append((name, card))
     if not variables:
         raise GraphError(f"line {lineno}: empty variable list")

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import causalbell
 from causalbell import bell, cli, distributions, separation
 from causalbell.cli import run
 from causalbell.graph import CondQuery, GraphError, bell_dag, parse_dag
@@ -311,7 +312,7 @@ def test_unexpected_exception_is_an_internal_error(bell_dag_file, monkeypatch, c
     def boom(g, q):
         raise fault
 
-    monkeypatch.setattr(separation, "d_separated", boom)
+    monkeypatch.setattr(causalbell, "d_separated", boom)
     assert run(["dsep", bell_dag_file, "--x", "X", "--y", "Y"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("internal error: ") and "Traceback" not in err
@@ -349,11 +350,32 @@ def test_a_flag_rule_has_the_library_message(singlet_file, dist_file, capsys):
         (["gen", "random-lhv", "--seed", "1", "--lambda-card", "0"],
          lambda: bell.random_lhv(1, 0)),
         (["gen", "bell-dag", "--lambda-card", "0"], lambda: bell_dag(0)),
+        (["gen", "singlet", "--angles", "inf,0,0,0"],
+         lambda: bell.singlet_behavior(float("inf"), 0.0, 0.0, 0.0)),
     ):
         with pytest.raises(GraphError) as raised:
             call()
         assert run(argv) == 2, argv
         assert capsys.readouterr() == ("", f"error: {raised.value}\n"), argv
+
+
+def test_inputs_are_read_in_order_before_the_library_rules(tmp_path, capsys):
+    # the DAG before the distribution, and every file before a rule on the parsed inputs
+    dag = tmp_path / "v.dag"
+    dag.write_text("node v0 2\nnode v1 2\nnode v2 2\n")
+    bad_dag = tmp_path / "bad.dag"
+    bad_dag.write_text("node X 2\nnode X 2\n")
+    bad_dist = tmp_path / "bad.txt"
+    bad_dist.write_text("vars P:2\n0 0.9\n")
+    missing = str(tmp_path / "nope.txt")
+    for argv, fragment in (
+        (["compat", str(bad_dag), str(bad_dist)], f"error: {bad_dag}: line 2"),
+        (["rpcc", str(dag), missing, "--x", "v0,v1", "--y", "v2"], f"cannot read {missing}"),
+        (["graphoid", missing, "--trials", "0", "--seed", "1"], f"cannot read {missing}"),
+    ):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert fragment in captured.err and not captured.out, argv
 
 
 def test_missing_file_reports_error(tmp_path, capsys):

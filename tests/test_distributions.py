@@ -415,6 +415,9 @@ def test_rpcc_direct_cause_branch():
 def test_rpcc_rejects_equal_nodes():
     with pytest.raises(GraphError):
         reichenbach_check(coins(), edgeless("P", "Q"), "P", "P")
+    for x, y in (("R", "P"), ("P", "R")):
+        with pytest.raises(GraphError, match=r"unknown node\(s\) in query: \['R'\]"):
+            reichenbach_check(coins(), edgeless("P", "Q"), x, y)
 
 
 # --- closure-axiom audit ----------------------------------------------------------------
@@ -589,6 +592,8 @@ def test_distribution_zeros_are_omitted_and_restored():
     ("vars P:2\n0 0.9", "outside 1"),
     ("vars P:2\n0 -0.1\n1 1.1", "negative"),
     ("vars P:zz\n", "cardinality"),
+    ("vars P:2 P:2\n", "line 1: duplicate variable 'P'"),
+    ("vars P:2 P:2\n0 0 1", "line 1: duplicate variable 'P'"),
     ("vars P:2\n0 0.5 9", "expected 1 values"),
     ("vars P:2 Q:2\n0 0 nan\n1 1 0.5", "line 2: probability must be finite"),
     ("vars P:2\n0 inf\n1 0", "finite"),

@@ -1,5 +1,6 @@
 """The package surface and its import boundary: graph-only callers never load numpy."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -50,6 +51,19 @@ def test_only_numpy_backed_verbs_import_numpy(inputs, argv, loads_numpy):
     argv = [a.format(dag=inputs / "bell.dag", pr=inputs / "pr.behavior") for a in argv]
     code = f"from causalbell.cli import run\nassert run({argv!r}) in (0, 1)"
     assert _numpy_loaded_after(code) == loads_numpy
+
+
+def test_cli_imports_no_numpy_backed_module():
+    # the package's lazy table is the one numpy boundary; the CLI reaches those names through it
+    tree = ast.parse((Path(SRC) / "causalbell" / "cli.py").read_text())
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            named.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            named.update((node.module or "").split("."))
+            named.update(alias.name for alias in node.names)
+    assert not named & {"bell", "distributions", "simplex"}
 
 
 def test_every_public_name_is_its_defining_modules_object():
