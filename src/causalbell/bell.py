@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import CiReport, JointTable, _check_cells, _read_rows, _stochastic, ci_holds
+from .distributions import CiReport, JointTable, _check_cells, _read_rows, _rows, _stochastic, ci_holds
 from .graph import DEFAULT_LAMBDA_CARD, CondQuery, GraphError, _check_lambda_card, _directive_lines, _is_int
 from .graph import bell_dag  # noqa: F401  (the scenario's DAG, also public here)
 from .report import AuditReport, CheckResult, _check_eps, _check_seed
@@ -147,14 +147,8 @@ def singlet_behavior(theta0: float, theta1: float, phi0: float, phi1: float) -> 
 
 def pr_box() -> Behavior:
     """The extremal no-signalling table: P(a,b|x,y) = 1/2 iff a xor b = x.y."""
-    table = np.zeros((2, 2, 2, 2))
-    for a in range(2):
-        for b in range(2):
-            for x in range(2):
-                for y in range(2):
-                    if a ^ b == x * y:
-                        table[a, b, x, y] = 0.5
-    return Behavior(table)
+    a, b, x, y = np.indices((2, 2, 2, 2))
+    return Behavior(np.where(a ^ b == x * y, 0.5, 0.0))
 
 
 def _signalling_deviations(b: Behavior) -> list[float]:
@@ -342,13 +336,7 @@ def random_lhv(seed: int, lambda_card: int = DEFAULT_LAMBDA_CARD) -> LhvModel:
 
 def format_behavior(b: Behavior) -> str:
     """16 lines ``a b x y prob`` in row-major (a, b, x, y) order."""
-    lines = []
-    for a in range(2):
-        for bb in range(2):
-            for x in range(2):
-                for y in range(2):
-                    lines.append(f"{a} {bb} {x} {y} {b.table[a, bb, x, y]:.17g}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(_rows(b.table, True)) + "\n"
 
 
 def parse_behavior(text: str) -> Behavior:

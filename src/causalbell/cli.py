@@ -101,7 +101,7 @@ def _parser() -> argparse.ArgumentParser:
                              "random-compatible"]},
         "--out": {"default": None, "help": "output path (default stdout)"},
         "--seed": {"type": int, "default": None},
-        "--angles": {"default": None, "help": "four comma-separated radians"},
+        "--angles": {"default": None, "help": "four comma-separated radians (singlet)"},
         "--lambda-card": {"type": int, "default": DEFAULT_LAMBDA_CARD},
         "--dag": {"default": None, "help": "DAG file (random-compatible)"},
     })
@@ -213,11 +213,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         raise GraphError(f"gen {args.kind} requires --seed")
     if args.kind == "random-compatible" and args.dag is None:
         raise GraphError("gen random-compatible requires --dag")
-    angles = None if args.angles is None else _parse_angles(args.angles)
     if args.kind == "bell-dag":
         text = cb.bell_dag(args.lambda_card).to_text()
     elif args.kind == "singlet":
-        text = cb.format_behavior(cb.singlet_behavior(*(angles or cb.CHSH_ANGLES)))
+        angles = cb.CHSH_ANGLES if args.angles is None else _parse_angles(args.angles)
+        text = cb.format_behavior(cb.singlet_behavior(*angles))
     elif args.kind == "pr-box":
         text = cb.format_behavior(cb.pr_box())
     elif args.kind == "random-lhv":

@@ -14,6 +14,7 @@ deterministic per seed; tables are write-locked after construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -26,14 +27,29 @@ from .report import Assignment, AuditReport, CheckResult, _check_eps, _check_see
 MAX_TABLE_CELLS = 1 << 20
 
 
-def _check_cells(cards: Iterable[int], where: str = "") -> None:
+def _check_cells(cards: Iterable[int]) -> None:
     """Raise unless a table over ``cards`` stays within MAX_TABLE_CELLS.
 
     The product is exact, so callers check before they allocate or draw.
     """
     size = math.prod(cards)
     if size > MAX_TABLE_CELLS:
-        raise GraphError(f"{where}table of {size} cells exceeds the {MAX_TABLE_CELLS} cap")
+        raise GraphError(f"table of {size} cells exceeds the {MAX_TABLE_CELLS} cap")
+
+
+def _declared(variables: Sequence[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
+    """The one rule for a table's declarations: identifier names, each used
+    once, and positive integer cardinalities, within MAX_TABLE_CELLS cells."""
+    seen: set[str] = set()
+    for n, c in variables:
+        if not isinstance(n, str) or not n.isidentifier() or not _is_int(c) or c < 1:
+            raise GraphError(f"bad variable declaration {n!r}: {c!r}")
+        if n in seen:
+            raise GraphError(f"duplicate variable {n!r}")
+        seen.add(n)
+    declared = tuple((n, int(c)) for n, c in variables)
+    _check_cells([c for _, c in declared])
+    return declared
 
 
 def _stochastic(arr: np.ndarray, what: str, shape: tuple[int, ...] | None = None,
@@ -74,19 +90,8 @@ class JointTable:
     probabilities: np.ndarray
 
     def __post_init__(self) -> None:
-        for n, c in self.variables:
-            if not isinstance(n, str) or not n.isidentifier() or not _is_int(c):
-                raise GraphError(f"bad variable declaration {n!r}: {c!r}")
-        variables = tuple((n, int(c)) for n, c in self.variables)
-        names = [n for n, _ in variables]
-        if len(set(names)) != len(names):
-            raise GraphError("duplicate variable names")
-        if any(c < 1 for _, c in variables):
-            raise GraphError("cardinalities must be positive")
-        shape = tuple(c for _, c in variables)
-        _check_cells(shape)
-        probs = _stochastic(self.probabilities, "probabilities", shape)
-        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "variables", _declared(self.variables))
+        probs = _stochastic(self.probabilities, "probabilities", self.cards)
         object.__setattr__(self, "probabilities", probs)
 
     @property
@@ -109,9 +114,9 @@ class JointTable:
     def marginal(self, names: Sequence[str]) -> np.ndarray:
         """Marginal array with axes in the requested order."""
         idx = [self.index(n) for n in names]
-        if len(set(idx)) != len(idx):
+        if len(kept := set(idx)) != len(idx):
             raise GraphError("duplicate variable in marginal request")
-        drop = tuple(i for i in range(len(self.variables)) if i not in set(idx))
+        drop = tuple(i for i in range(len(self.variables)) if i not in kept)
         m = self.probabilities.sum(axis=drop) if drop else self.probabilities
         if m.ndim > 1:
             ascending = sorted(idx)
@@ -480,17 +485,18 @@ def random_compatible(g: Dag, seed: int) -> JointTable:
 
 # --- distribution file format -----------------------------------------------
 
+def _rows(table: np.ndarray, zeros: bool) -> list[str]:
+    """One ``values… probability`` line per cell of ``table`` in row-major order,
+    to 17 significant digits; zero cells only when ``zeros`` is set."""
+    cells = itertools.product(*(map(str, range(n)) for n in table.shape))
+    return [f"{' '.join(values)} {prob:.17g}"
+            for values, prob in zip(cells, table.ravel().tolist()) if zeros or prob]
+
+
 def format_distribution(p: JointTable) -> str:
     """Serialize: a ``vars`` header, then one nonzero assignment per line."""
     header = "vars " + " ".join(f"{n}:{c}" for n, c in p.variables)
-    lines = [header]
-    flat = p.probabilities.reshape(-1)
-    cards = p.cards
-    for flat_idx in np.flatnonzero(flat):
-        values = np.unravel_index(int(flat_idx), cards) if cards else ()
-        cells = " ".join(str(int(v)) for v in values)
-        lines.append(f"{cells} {flat[flat_idx]:.17g}")
-    return "\n".join(lines) + "\n"
+    return "\n".join([header, *_rows(p.probabilities, False)]) + "\n"
 
 
 def _read_rows(lines: Iterable[tuple[int, list[str]]],
@@ -541,24 +547,22 @@ def parse_distribution(text: str) -> JointTable:
     lineno, tokens = first
     if tokens[0] != "vars":
         raise GraphError(f"line {lineno}: expected 'vars' header")
-    variables: list[tuple[str, int]] = []
+    variables = []
     for tok in tokens[1:]:
-        if ":" not in tok:
+        name, colon, card_word = tok.partition(":")
+        if not colon:
             raise GraphError(f"line {lineno}: expected name:cardinality, got {tok!r}")
-        name, _, card_word = tok.partition(":")
         try:
-            card = int(card_word)
+            variables.append((name, int(card_word)))
         except ValueError:
             raise GraphError(f"line {lineno}: bad cardinality in {tok!r}") from None
-        if not name.isidentifier() or card < 1:
-            raise GraphError(f"line {lineno}: bad variable declaration {tok!r}")
-        if any(name == n for n, _ in variables):
-            raise GraphError(f"line {lineno}: duplicate variable {name!r}")
-        variables.append((name, card))
     if not variables:
         raise GraphError(f"line {lineno}: empty variable list")
-    _check_cells((c for _, c in variables), f"line {lineno}: ")
-    probs = np.zeros(tuple(c for _, c in variables))
-    _read_rows(lines, variables, probs)
+    try:
+        declared = _declared(variables)
+    except GraphError as exc:
+        raise GraphError(f"line {lineno}: {exc}") from None
+    probs = np.zeros(tuple(c for _, c in declared))
+    _read_rows(lines, declared, probs)
     probs /= _stochastic(probs, "distribution", tol=1e-9).sum()
-    return JointTable(tuple(variables), probs)
+    return JointTable(declared, probs)

@@ -378,6 +378,8 @@ def compare_criteria(g: Dag) -> CompareReport:
     connected: dict[tuple[int, int], tuple[int, int]] = {}
     # Z mask -> (Z and its ancestors, Z's outcomes and their ancestors)
     closed: dict[int, tuple[int, int]] = {}
+    # (y, Z's outcomes and their ancestors) -> _ends_open's mask
+    ends: dict[tuple[int, int], int] = {}
     rows: list[CompareRow] = []
     for x, y in itertools.combinations(endpoints, 2):
         # every subset of the remaining nodes, in the order of the bits of
@@ -394,10 +396,11 @@ def compare_criteria(g: Dag) -> CompareReport:
                 if m not in closed:
                     closed[m] = _closure(pmask, m), _closure(pmask, m & outcomes)
                 activators, reaches = closed[m]
+                if (y, reaches) not in ends:
+                    ends[y, reaches] = _ends_open(g, y, settings, reaches)
                 found = connected[y, m] = (
                     _states_reaching(pmask, cmask, y, m, activators)[0],
-                    _states_reaching(pmask, cmask, y, 0, reaches)[0]
-                    & _ends_open(g, y, settings, reaches),
+                    _states_reaching(pmask, cmask, y, 0, reaches)[0] & ends[y, reaches],
                 )
             rows.append(CompareRow(names[x], names[y], z,
                                    not found[0] >> x & 1, not found[1] >> x & 1))

@@ -74,7 +74,7 @@ def test_qsep_verdicts(bell_dag_file, capsys):
 
 
 def test_cli_matches_library_verdicts(bell_dag_file):
-    g = parse_dag(open(bell_dag_file).read())
+    g = parse_dag(Path(bell_dag_file).read_text())
     cases = [
         ({"X"}, {"Y"}, set()),
         ({"X"}, {"Y"}, {"A", "B"}),
@@ -222,19 +222,19 @@ def test_gen_writes_identical_files_per_seed(tmp_path):
 
 
 def test_gen_bell_dag_parses_back(bell_dag_file):
-    g = parse_dag(open(bell_dag_file).read())
+    g = parse_dag(Path(bell_dag_file).read_text())
     assert g.names == ("X", "Y", "A", "B", "Lambda")
     assert len(g.edges) == 4
 
 
 def test_gen_singlet_reaches_quantum_bound(singlet_file):
-    b = bell.parse_behavior(open(singlet_file).read())
+    b = bell.parse_behavior(Path(singlet_file).read_text())
     assert abs(bell.chsh_value(b, 0) + 2.0 * np.sqrt(2.0)) <= 1e-9
 
 
 def test_gen_random_compatible_loads(dist_file, bell_dag_file):
-    p = distributions.parse_distribution(open(dist_file).read())
-    g = parse_dag(open(bell_dag_file).read())
+    p = distributions.parse_distribution(Path(dist_file).read_text())
+    g = parse_dag(Path(bell_dag_file).read_text())
     assert distributions.compatible(p, g).passed
 
 
@@ -487,6 +487,8 @@ CONTRACT = [
      lambda lib: (bell.format_behavior(bell.singlet_behavior(*map(float, ANGLES.split(",")))),
                   0)),
     (["gen", "pr-box"], lambda lib: (bell.format_behavior(bell.pr_box()), 0)),
+    # only singlet reads --angles; another kind ignores it, well formed or not
+    (["gen", "pr-box", "--angles", "1,2"], lambda lib: (bell.format_behavior(bell.pr_box()), 0)),
     (["gen", "random-lhv", "--seed", "3"],
      lambda lib: (bell.format_behavior(bell.behavior_from_lhv(bell.random_lhv(3))), 0)),
     (["gen", "random-compatible", "--dag", "{dag}", "--seed", "5"],
