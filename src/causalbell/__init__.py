@@ -39,6 +39,7 @@ _LAZY = {
         "behavior_joint", "chsh_value", "correlators", "deterministic_strategies",
         "format_behavior", "lhv_joint_table", "lhv_membership", "no_signalling_check",
         "parse_behavior", "pr_box", "quantum_causality_audit", "random_lhv", "singlet_behavior",
+        "within_local_bound",
     ), "bell"),
     **dict.fromkeys((
         "CiReport", "ConditionalTable", "JointTable", "RpccReport", "VIOLATES_RPCC",

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import CiReport, JointTable, _check_cells, _read_rows, _rows, _stochastic, ci_holds
+from .distributions import CiReport, JointTable, _check_cells, _read_table, _rows, _stochastic, ci_holds
 from .graph import DEFAULT_LAMBDA_CARD, CondQuery, GraphError, _check_lambda_card, _directive_lines, _is_int
 from .graph import bell_dag  # noqa: F401  (the scenario's DAG, also public here)
-from .report import AuditReport, CheckResult, _check_eps, _check_seed
+from .report import DEFAULT_EPS, AuditReport, CheckResult, _check_eps, _check_seed
 from .simplex import OPTIMAL, solve_lp
 
 # Float slack on the exact bound max S <= 2 + 16 r that ties the facet sweep
@@ -122,6 +122,11 @@ def _facet_value(e: np.ndarray, variant: int) -> float:
     return float(np.sum(_VARIANT_COEFFS[variant] * e))
 
 
+def within_local_bound(value: float, eps: float = DEFAULT_EPS) -> bool:
+    """The local bound of every facet: a facet value S is local iff S <= 2 + eps."""
+    return value <= 2.0 + eps
+
+
 def chsh_value(b: Behavior, variant: int = 0) -> float:
     """Signed correlator sum for one of the 8 facet variants."""
     if not (_is_int(variant) and 0 <= variant <= 7):
@@ -160,7 +165,7 @@ def _signalling_deviations(b: Behavior) -> list[float]:
     return np.abs(np.concatenate(devs, axis=None)).tolist()
 
 
-def no_signalling_check(b: Behavior, eps: float = 1e-9) -> AuditReport:
+def no_signalling_check(b: Behavior, eps: float = DEFAULT_EPS) -> AuditReport:
     """Assert each wing's outcome marginal ignores the far setting."""
     _check_eps(eps)
     checks = []
@@ -240,7 +245,7 @@ def _membership_residual(b: Behavior) -> tuple[float, np.ndarray]:
     return float(result.objective), weights
 
 
-def lhv_membership(b: Behavior, eps: float = 1e-9) -> MembershipVerdict:
+def lhv_membership(b: Behavior, eps: float = DEFAULT_EPS) -> MembershipVerdict:
     """Decide whether the behavior mixes the 16 deterministic strategies.
 
     The verdict is the facet sweep's: local iff every facet value S is at
@@ -255,18 +260,18 @@ def lhv_membership(b: Behavior, eps: float = 1e-9) -> MembershipVerdict:
     if worst > eps:
         raise GraphError(
             f"membership is posed inside the no-signalling set "
-            f"(worst marginal deviation {worst:.9f})"
+            f"(worst marginal deviation {worst:.3g} > eps {eps:.3g})"
         )
     e = correlators(b)
     values = [_facet_value(e, v) for v in range(8)]
     best_variant = int(np.argmax(values))
     residual, weights = _membership_residual(b)
-    if values[best_variant] > 2.0 + 16.0 * residual + _BOUND_SLACK:
+    if not within_local_bound(values[best_variant], 16.0 * residual + _BOUND_SLACK):
         raise RuntimeError(
             "internal inconsistency: facet value exceeds the feasibility solve's bound "
             f"(residual={residual!r}, max facet={values[best_variant]!r})"
         )
-    if values[best_variant] <= 2.0 + eps:
+    if within_local_bound(values[best_variant], eps):
         model = LhvModel(weights, _RESPONSES[:, 0], _RESPONSES[:, 1])
         return MembershipVerdict(True, model, None, None, residual)
     return MembershipVerdict(False, None, best_variant, values[best_variant], residual)
@@ -290,7 +295,7 @@ def lhv_joint_table(m: LhvModel) -> JointTable:
     return JointTable((*_BEHAVIOR_AXES, ("Lambda", lam)), probs)
 
 
-def quantum_causality_audit(b: Behavior, eps: float = 1e-9) -> AuditReport:
+def quantum_causality_audit(b: Behavior, eps: float = DEFAULT_EPS) -> AuditReport:
     """Check the outcome-independence pattern the typed criterion demands.
 
     Under uniform setting priors the joint must satisfy (A indep Y),
@@ -345,8 +350,5 @@ def parse_behavior(text: str) -> Behavior:
     Each setting pair's outcome table must sum to 1 within 1e-9 and is
     then renormalized exactly.
     """
-    table = np.zeros((2, 2, 2, 2))
-    if _read_rows(_directive_lines(text), _BEHAVIOR_AXES, table) < table.size:
-        raise GraphError("behavior file is missing assignments")
-    table /= _stochastic(table, "behavior file", axes=(0, 1), tol=1e-9).sum(axis=(0, 1))
-    return Behavior(table)
+    lines = _directive_lines(text)
+    return Behavior(_read_table(lines, _BEHAVIOR_AXES, "behavior file", (0, 1), complete=True))

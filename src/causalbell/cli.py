@@ -31,7 +31,7 @@ from pathlib import Path
 import causalbell as cb
 
 from .graph import DEFAULT_LAMBDA_CARD, GraphError, _check_lambda_card
-from .report import _check_eps, _check_seed
+from .report import DEFAULT_EPS, _check_eps, _check_seed
 
 PASS = 0
 FAIL = 1
@@ -65,7 +65,7 @@ def _parser() -> argparse.ArgumentParser:
         for flag, kwargs in (flags or {}).items():
             p.add_argument(flag, **kwargs)
         if eps:
-            p.add_argument("--eps", type=float, default=1e-9, help="tolerance (default 1e-9)")
+            p.add_argument("--eps", type=float, default=DEFAULT_EPS, help="tolerance (default 1e-9)")
         p.set_defaults(run=handler, inputs=inputs)
 
     nodes = {"required": True, "help": "comma-separated node list"}
@@ -195,7 +195,7 @@ def _cmd_bell_chsh(args: argparse.Namespace, b: cb.Behavior) -> int:
     variants = range(8) if args.variant is None else [args.variant]
     values = [cb.chsh_value(b, v) for v in variants]
     text = "".join(f"variant {v}: S = {s:.9f}\n" for v, s in zip(variants, values))
-    return _verdict(text, max(values) <= 2.0 + args.eps)
+    return _verdict(text, cb.within_local_bound(max(values), args.eps))
 
 
 def _cmd_bell_member(args: argparse.Namespace, b: cb.Behavior) -> int:

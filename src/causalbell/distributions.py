@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .graph import CondQuery, Dag, GraphError, _check_int, _check_known, _directive_lines, _is_int
-from .report import Assignment, AuditReport, CheckResult, _check_eps, _check_seed
+from .report import DEFAULT_EPS, Assignment, AuditReport, CheckResult, _check_eps, _check_seed
 
 MAX_TABLE_CELLS = 1 << 20
 
@@ -241,7 +241,7 @@ def _ordered(p: JointTable, names: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(names, key=p.index))
 
 
-def ci_holds(p: JointTable, q: CondQuery, eps: float = 1e-9) -> CiReport:
+def ci_holds(p: JointTable, q: CondQuery, eps: float = DEFAULT_EPS) -> CiReport:
     """Test (X independent of Y given Z) in the division-free product form."""
     _check_eps(eps)
     q.validate(p.names)
@@ -297,12 +297,12 @@ def _screening_audit(p: JointTable, g: Dag, eps: float, title: str,
     return AuditReport(title, tuple(checks))
 
 
-def causal_markov_check(p: JointTable, g: Dag, eps: float = 1e-9) -> AuditReport:
+def causal_markov_check(p: JointTable, g: Dag, eps: float = DEFAULT_EPS) -> AuditReport:
     """Each node must be independent of its non-descendants given its parents."""
     return _screening_audit(p, g, eps, "local Markov audit", g.parents)
 
 
-def compatible(p: JointTable, g: Dag, eps: float = 1e-9) -> AuditReport:
+def compatible(p: JointTable, g: Dag, eps: float = DEFAULT_EPS) -> AuditReport:
     """Graph compatibility, decided through the local Markov property.
 
     Equivalent to the existence of a conditional-table factorization
@@ -311,7 +311,7 @@ def compatible(p: JointTable, g: Dag, eps: float = 1e-9) -> AuditReport:
     return _screening_audit(p, g, eps, "compatibility audit", g.parents)
 
 
-def causal_completeness_check(p: JointTable, g: Dag, eps: float = 1e-9) -> AuditReport:
+def causal_completeness_check(p: JointTable, g: Dag, eps: float = DEFAULT_EPS) -> AuditReport:
     """Each node must be independent of its non-descendants given its ancestors."""
     return _screening_audit(p, g, eps, "ancestor screening audit", g.ancestors)
 
@@ -343,7 +343,7 @@ class RpccReport:
 
 
 def reichenbach_check(p: JointTable, g: Dag, x: str, y: str,
-                      eps: float = 1e-9) -> RpccReport:
+                      eps: float = DEFAULT_EPS) -> RpccReport:
     """Classify a pair: uncorrelated, screened by the shared causal past
     (the intersection of the two ancestor sets), a direct cause/effect
     relation, or a violation of common-cause screening.
@@ -380,7 +380,7 @@ def _sample_roles(rng: np.random.Generator, names: tuple[str, ...],
     raise RuntimeError("role sampling failed")  # unreachable for >= 2 variables
 
 
-def graphoid_audit(p: JointTable, eps: float = 1e-9, trials: int = 1000,
+def graphoid_audit(p: JointTable, eps: float = DEFAULT_EPS, trials: int = 1000,
                    seed: int = 0) -> AuditReport:
     """Randomized audit of the closure axioms of conditional independence.
 
@@ -499,16 +499,19 @@ def format_distribution(p: JointTable) -> str:
     return "\n".join([header, *_rows(p.probabilities, False)]) + "\n"
 
 
-def _read_rows(lines: Iterable[tuple[int, list[str]]],
-               variables: Sequence[tuple[str, int]], probs: np.ndarray) -> int:
-    """Write each row of a probability table into ``probs`` and return the
-    number of rows.
+def _read_table(lines: Iterable[tuple[int, list[str]]], variables: Sequence[tuple[str, int]],
+                what: str, axes: tuple[int, ...] | None = None,
+                complete: bool = False) -> np.ndarray:
+    """The table the rows of a table file give, each slice over ``axes``
+    (the whole table when None) gated at 1e-9 and divided by its sum.
 
     A row is one value per variable, in the order of ``variables``, then
-    a probability; ``probs`` is indexed by the values. A row fails on its
-    token count, an unparsable token, a value out of its variable's range,
-    a non-finite or negative probability, or an assignment seen before.
+    a probability. A row fails on its token count, an unparsable token, a
+    value out of its variable's range, a non-finite or negative
+    probability, or an assignment seen before. A cell without a row is
+    zero, or with ``complete`` set a fault, raised before the gate.
     """
+    table = np.zeros(tuple(c for _, c in variables))
     seen: set[tuple[int, ...]] = set()
     for lineno, tokens in lines:
         if len(tokens) != len(variables) + 1:
@@ -530,8 +533,10 @@ def _read_rows(lines: Iterable[tuple[int, list[str]]],
         if values in seen:
             raise GraphError(f"line {lineno}: duplicate assignment")
         seen.add(values)
-        probs[values] = prob
-    return len(seen)
+        table[values] = prob
+    if complete and len(seen) < table.size:
+        raise GraphError(f"{what} is missing assignments")
+    return table / _stochastic(table, what, axes=axes, tol=1e-9).sum(axis=axes, keepdims=True)
 
 
 def parse_distribution(text: str) -> JointTable:
@@ -562,7 +567,4 @@ def parse_distribution(text: str) -> JointTable:
         declared = _declared(variables)
     except GraphError as exc:
         raise GraphError(f"line {lineno}: {exc}") from None
-    probs = np.zeros(tuple(c for _, c in declared))
-    _read_rows(lines, declared, probs)
-    probs /= _stochastic(probs, "distribution", tol=1e-9).sum()
-    return JointTable(declared, probs)
+    return JointTable(declared, _read_table(lines, declared, "distribution"))

@@ -15,6 +15,7 @@ from typing import Any, Mapping
 from .graph import GraphError, _check_int
 
 Assignment = tuple[tuple[str, int], ...]
+DEFAULT_EPS = 1e-9  # the default of every tolerance eps, in the library and the CLI
 
 
 def _check_eps(eps: float) -> None:

@@ -281,6 +281,14 @@ def q_separated(g: Dag, q: CondQuery) -> SeparationVerdict:
 
     X and Y may contain only setting/outcome nodes. Z may contain nodes
     of any kind; non-outcome members are simply invisible to the rule.
+
+    The verdict is about models whose settings are chosen from outside,
+    as interventions. "Separated" implies that X and Y are d-separated
+    given Z's outcomes in the graph without the edges into settings, so
+    the independence holds in every classical model on that graph. A
+    setting with parents is answered as if those edges were cut: on
+    L -> X, L -> Y with settings X and Y the answer is "separated", while
+    ``d_separated`` finds the open path X<-L->Y.
     """
     q.validate(g)
     index, kinds = g._index, g._kinds

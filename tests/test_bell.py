@@ -28,6 +28,7 @@ from causalbell.bell import (
     random_lhv,
     singlet_behavior,
     strategy_responses,
+    within_local_bound,
 )
 from causalbell.distributions import ci_holds, compatible
 from causalbell.graph import CondQuery, GraphError
@@ -160,6 +161,12 @@ def test_sixteen_deterministic_strategies():
                 expected[a_of[x], b_of[y], x, y] = 1.0
         assert np.array_equal(behavior_from_lhv(s).table, expected)
         assert np.array_equal(_DET_TABLES[i], expected)
+
+
+def test_local_bound_is_two_plus_eps():
+    assert within_local_bound(2.0) and within_local_bound(2.0 + 1e-9)
+    assert not within_local_bound(2.0 + 2e-9)
+    assert within_local_bound(2.0 + 2e-9, 1e-8) and not within_local_bound(2.1, 0.05)
 
 
 def test_deterministic_maximum_is_the_local_bound():
@@ -312,7 +319,7 @@ def test_membership_roundtrip_on_random_models():
 
 
 def test_membership_rejects_signalling_input():
-    with pytest.raises(GraphError, match=r"set \(worst marginal deviation 1\.000000000\)"):
+    with pytest.raises(GraphError, match=r"set \(worst marginal deviation 1 > eps 1e-09\)"):
         lhv_membership(signalling_behavior())
     # Bob's marginal reads Alice's setting by 0.3, Alice's reads Bob's by 0.2
     bob_reads_x = np.zeros((2, 2, 2, 2))
@@ -321,8 +328,19 @@ def test_membership_rejects_signalling_input():
     b = Behavior(0.2 * signalling_behavior().table + 0.3 * bob_reads_x + 0.5 * 0.25)
     worst = no_signalling_check(b).worst_violation
     assert worst == pytest.approx(0.3, abs=1e-15)
-    with pytest.raises(GraphError, match=rf"worst marginal deviation {worst:.9f}\)"):
+    with pytest.raises(GraphError, match=rf"worst marginal deviation {worst:.3g} > eps 1e-09\)"):
         lhv_membership(b)
+
+
+def test_membership_refusal_shows_a_rounding_sized_deviation():
+    # a written and re-read local behavior signals at float rounding only;
+    # a tolerance below that rounding is refused, and the message shows both
+    b = parse_behavior(format_behavior(behavior_from_lhv(random_lhv(1))))
+    worst = no_signalling_check(b).worst_violation
+    assert 0 < worst < 1e-15
+    with pytest.raises(GraphError, match=rf"deviation {worst:.3g} > eps 1e-16\)$"):
+        lhv_membership(b, 1e-16)
+    assert lhv_membership(b).local
 
 
 def test_membership_verdict_reports_a_facet_value_chsh_value_gives():

@@ -329,6 +329,33 @@ def test_bell_member_just_past_the_facet(tmp_path, capsys):
     assert capsys.readouterr().out.endswith("not local: variant 0, S = 2.000000008\n")
 
 
+def test_bell_chsh_and_bell_member_give_one_verdict(tmp_path, capsys):
+    # the PR box with uniform noise has S = 4t, so t = 1/2 +- 1e-12 sits just off the
+    # facet; the tolerances straddle S - 2 and the two verbs must exit alike
+    uniform = np.full((2, 2, 2, 2), 0.25)
+    paths = []
+    for k, t in enumerate((0.5 - 1e-12, 0.5, 0.5 + 1e-12)):
+        paths.append(tmp_path / f"noise{k}.behavior")
+        b = bell.Behavior(t * bell.pr_box().table + (1.0 - t) * uniform)
+        paths[-1].write_text(bell.format_behavior(b))
+    for seed in range(1, 6):
+        paths.append(tmp_path / f"lhv{seed}.behavior")
+        assert run(["gen", "random-lhv", "--seed", str(seed), "--out", str(paths[-1])]) == 0
+    codes = set()
+    for path in paths:
+        b = bell.parse_behavior(path.read_text())
+        gap = abs(max(bell.chsh_value(b, v) for v in range(8)) - 2.0)
+        for eps in {gap / 2, gap * 2, 1e-15, 1e-13, 1e-11, 1e-9} - {0.0}:
+            member = run(["bell-member", str(path), "--eps", repr(eps)])
+            err = capsys.readouterr().err
+            if member == 2:  # refused: the file signals by more than eps
+                assert "inside the no-signalling set" in err
+                continue
+            assert run(["bell-chsh", str(path), "--eps", repr(eps)]) == member, (path, eps)
+            codes.add(member)
+    assert codes == {0, 1}
+
+
 def test_bad_variant_rejected(singlet_file, capsys):
     assert run(["bell-chsh", singlet_file, "--variant", "9"]) == 2
     assert "variant" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """The package surface and its import boundary: graph-only callers never load numpy."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import causalbell
-from causalbell import bell, distributions, graph, report, separation
+from causalbell import bell, cli, distributions, graph, report, separation
 from causalbell.bell import bell_dag, format_behavior, pr_box
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -64,6 +65,21 @@ def test_cli_imports_no_numpy_backed_module():
             named.update((node.module or "").split("."))
             named.update(alias.name for alias in node.names)
     assert not named & {"bell", "distributions", "simplex"}
+
+
+def test_every_tolerance_defaults_to_the_one_constant():
+    with_eps = set()
+    for name in causalbell.__all__:
+        value = getattr(causalbell, name)
+        params = inspect.signature(value).parameters if inspect.isfunction(value) else {}
+        if "eps" in params:
+            assert params["eps"].default is report.DEFAULT_EPS, name
+            with_eps.add(name)
+    assert with_eps == {
+        "ci_holds", "causal_markov_check", "compatible", "causal_completeness_check",
+        "reichenbach_check", "graphoid_audit", "no_signalling_check", "lhv_membership",
+        "quantum_causality_audit", "within_local_bound"}
+    assert cli._parser().parse_args(["compat", "a", "b"]).eps is report.DEFAULT_EPS
 
 
 def test_every_public_name_is_its_defining_modules_object():

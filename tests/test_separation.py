@@ -391,6 +391,7 @@ def test_dsep_witness_matches_path_oracle_exhaustively_n4():
     assert checked > 50_000
 
 
+@pytest.mark.slow
 def test_qsep_matches_path_oracle_exhaustively_typed_n4():
     """Every typed DAG with at most four nodes, every disjoint (X, Y, Z)
     whose X and Y avoid latent nodes."""
@@ -485,12 +486,52 @@ def test_qsep_matches_networkx_reduction_on_larger_graphs():
         verdict = q_separated(g, CondQuery(x, y, z))
         expected = _q_separated_by_reduction(nx, g, x, y, z)
         assert verdict.separated == expected, (g.to_text(), x, y, z)
-        if not verdict.separated:
+        if verdict.separated:  # the models the verdict is about: settings set from outside
+            z_outcomes = {v for v in z if g.kind(v) is NodeKind.OUTCOME}
+            cut_verdict = d_separated(_settings_cut(g), CondQuery(x, y, z_outcomes))
+            assert cut_verdict.separated, (g.to_text(), x, y, z)
+        else:
             connected += 1
             w = verdict.witness
             assert w.nodes[0] in x and w.nodes[-1] in y
             assert not path_q_inactive(g, w, z)  # also checks every step is an edge
     assert 50 < connected < 250
+
+
+# --- the models a q-separation verdict is about -------------------------------------
+
+def _settings_cut(g: Dag) -> Dag:
+    """``g`` without the edges into its settings: the graph of a classical
+    model whose settings are chosen from outside, as interventions."""
+    nodes = [(v, g.kind(v), g.cardinality(v)) for v in g.names]
+    return Dag(nodes, [(u, v) for u, v in g.edges if g.kind(v) is not NodeKind.SETTING])
+
+
+def test_q_separation_is_d_separation_with_settings_cut_exhaustively_n4():
+    """A q-separated query is d-separated given Z's outcomes once every edge
+    into a setting is cut, so it holds in every classical model whose settings
+    are interventions; without the cut, a setting's parent can connect it."""
+    checked = 0
+    for n in range(2, 5):
+        for g in all_typed_dags(n):
+            cut = {(r.x, r.y, r.z): r.d_sep for r in compare_criteria(_settings_cut(g)).rows}
+            for r in compare_criteria(g).rows:
+                if r.q_sep:
+                    z_outcomes = tuple(v for v in r.z if g.kind(v) is NodeKind.OUTCOME)
+                    assert cut[r.x, r.y, z_outcomes], (g.to_text(), r)
+                    checked += 1
+    assert checked == 160_658
+
+
+def test_q_separation_of_settings_with_a_common_cause():
+    # L -> X, L -> Y: the typed rule separates the two settings, a classical
+    # model with L as a common cause of X and Y does not
+    g = Dag([("L", "latent", 2), ("X", "setting", 2), ("Y", "setting", 2)],
+            [("L", "X"), ("L", "Y")])
+    q = CondQuery({"X"}, {"Y"})
+    assert q_separated(g, q).separated
+    assert str(d_separated(g, q).witness) == "X<-L->Y"
+    assert d_separated(_settings_cut(g), q).separated
 
 
 # --- criteria comparison -----------------------------------------------------------
