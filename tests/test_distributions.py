@@ -514,6 +514,41 @@ def test_intersection_antecedents_hold_but_consequent_fails_on_triple_copy():
     assert consequent.max_violation == pytest.approx(0.25, abs=1e-15)
 
 
+def test_graphoid_failure_path_reports_worst_consequent_and_counterexample():
+    # This decomposition FAIL is the tolerance artifact of ROADMAP item 1,
+    # not a broken axiom. The table is a valid distribution, and the
+    # consequent X _||_ Y reads exactly |W| = 16 times the antecedent
+    # X _||_ {Y, W}, while consequents are asserted at only 10*eps. Item 1
+    # re-derives that bound, and with it these expected values.
+    delta = 1.6e-3
+    x, y, _ = np.indices((2, 2, 16))
+    p = JointTable((("X", 2), ("Y", 2), ("W", 16)), 1 / 64 + delta * (-1.0) ** (x ^ y) / 16)
+    antecedent = ci_holds(p, CondQuery({"X"}, {"Y", "W"}))
+    consequent = ci_holds(p, CondQuery({"X"}, {"Y"}))
+    assert antecedent.max_violation == pytest.approx(delta / 16, rel=1e-9)
+    assert consequent.max_violation == pytest.approx(delta, rel=1e-9)
+    report = graphoid_audit(p, eps=1.01 * delta / 16, trials=400, seed=3)
+    assert report.to_text() == (
+        "graphoid audit\n"
+        "check          required  passed  violation    witness\n"
+        "symmetry       yes       yes     0.000000000\n"
+        "decomposition  yes       NO      0.001600000  X=0 Y=0\n"
+        "weak_union     yes       yes     0.000000000\n"
+        "contraction    yes       yes     0.000000000\n"
+        "intersection   yes       yes     0.000000000\n"
+        "  [symmetry] fired=267 passed=267 failed=0\n"
+        "  [decomposition] fired=400 passed=267 failed=133 "
+        "counterexample=X=['X'] Y=['Y'] Z=[] W=['W']\n"
+        "  [weak_union] fired=400 passed=400 failed=0\n"
+        "  [contraction] fired=254 passed=254 failed=0\n"
+        "  [intersection] fired=400 passed=400 failed=0 gated=0 positivity_gate=off\n"
+        "overall: FAIL\n"
+    )
+    decomposition = report.checks[1]
+    assert decomposition.violation == consequent.max_violation
+    assert decomposition.witness == consequent.witness == (("X", 0), ("Y", 0))
+
+
 def test_graphoid_audit_deterministic_per_seed():
     rng = np.random.default_rng(25)
     p = _structured_positive_table(rng)

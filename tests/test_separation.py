@@ -8,6 +8,7 @@ from causalbell.bell import bell_dag
 from causalbell.graph import CondQuery, Dag, GraphError, NodeKind
 from causalbell.separation import (
     UndirectedPath,
+    _open_paths,
     compare_criteria,
     d_separated,
     enumerate_paths,
@@ -92,6 +93,18 @@ def test_paths_are_simple_and_deterministic():
         for p in paths:
             assert len(set(p.nodes)) == len(p.nodes)
             p.check_in(g)
+
+
+def test_witness_search_prunes_children_outside_down():
+    # On X->A->M->Y the one path enters M from its parent. With M taken out
+    # of ``down`` the search may not step A->M, so it must yield nothing; a
+    # search that ignored ``down`` would yield X->A->M->Y.
+    g = Dag([(v, "outcome", 2) for v in ("X", "A", "M", "Y")],
+            [("X", "A"), ("A", "M"), ("M", "Y")])
+    x, m, y = g.index("X"), g.index("M"), g.index("Y")
+    full = (1 << len(g)) - 1
+    assert [str(p) for p in _open_paths(g, x, y, 0, full, full, full)] == ["X->A->M->Y"]
+    assert list(_open_paths(g, x, y, 0, full, full, full & ~(1 << m))) == []
 
 
 def test_path_validation():
