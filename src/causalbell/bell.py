@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import CiReport, JointTable, _check_cells, _read_table, _rows, _stochastic, ci_holds
+from .distributions import (CiReport, JointTable, _check_cells, _read_table, _rows, _simplex_draws,
+                            _stochastic, ci_holds)
 from .graph import DEFAULT_LAMBDA_CARD, CondQuery, GraphError, _check_lambda_card, _directive_lines, _is_int
 from .graph import bell_dag  # noqa: F401  (the scenario's DAG, also public here)
 from .report import DEFAULT_EPS, AuditReport, CheckResult, _check_eps, _check_seed
@@ -105,11 +106,8 @@ _SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])  # (-1)^(a xor b)
 
 # variant v in 0..3 puts the single negative sign at (x, y) =
 # (1,1), (1,0), (0,1), (0,0); variants 4..7 are the global negations.
-_VARIANT_COEFFS = np.empty((8, 2, 2))
-for _v, (_x, _y) in enumerate(((1, 1), (1, 0), (0, 1), (0, 0))):
-    _VARIANT_COEFFS[_v] = 1.0
-    _VARIANT_COEFFS[_v, _x, _y] = -1.0
-    _VARIANT_COEFFS[_v + 4] = -_VARIANT_COEFFS[_v]
+_VARIANT_COEFFS = np.multiply.outer((1.0, -1.0), 1.0 - 2.0 * np.eye(4)[::-1]).reshape(8, 2, 2)
+_VARIANT_COEFFS.flags.writeable = False
 
 
 def correlators(b: Behavior) -> np.ndarray:
@@ -327,14 +325,10 @@ def random_lhv(seed: int, lambda_card: int = DEFAULT_LAMBDA_CARD) -> LhvModel:
     _check_lambda_card(lambda_card)
     _check_cells((lambda_card, 2, 2))
     rng = np.random.default_rng(seed)
-    w = rng.exponential(1.0, size=lambda_card)
-    ra = rng.exponential(1.0, size=(lambda_card, 2, 2))
-    rb = rng.exponential(1.0, size=(lambda_card, 2, 2))
-    return LhvModel(
-        w / w.sum(),
-        ra / ra.sum(axis=-1, keepdims=True),
-        rb / rb.sum(axis=-1, keepdims=True),
-    )
+    w = _simplex_draws(rng, (lambda_card,))
+    ra = _simplex_draws(rng, (lambda_card, 2, 2))
+    rb = _simplex_draws(rng, (lambda_card, 2, 2))
+    return LhvModel(w, ra, rb)
 
 
 # --- behavior file format -----------------------------------------------------

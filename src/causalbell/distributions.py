@@ -166,18 +166,6 @@ class CiReport:
     witness: Assignment | None = None
 
 
-def _aligned(entries: np.ndarray, axes: Sequence[int], n_axes: int,
-             shape: Sequence[int]) -> np.ndarray:
-    """Reshape ``entries`` (axes at positions ``axes``) to broadcast
-    against an ``n_axes``-dimensional joint of the given shape."""
-    order = np.argsort(axes)
-    arr = entries.transpose(order)
-    full = [1] * n_axes
-    for ax in axes:
-        full[ax] = shape[ax]
-    return arr.reshape(full)
-
-
 def joint_from_tables(g: Dag, cpts: Iterable[ConditionalTable]) -> JointTable:
     """Multiply one conditional table per node into the joint it defines.
 
@@ -211,7 +199,8 @@ def joint_from_tables(g: Dag, cpts: Iterable[ConditionalTable]) -> JointTable:
             if c != g.cardinality(p):
                 raise GraphError(f"table for {v!r}: cardinality mismatch on parent {p!r}")
         axes = [g.index(p) for p in t.parent_names] + [g.index(v)]
-        joint = joint * _aligned(t.entries, axes, len(shape), shape)
+        others = tuple(i for i in range(len(shape)) if i not in axes)
+        joint = joint * np.expand_dims(t.entries.transpose(np.argsort(axes)), others)
     return JointTable(tuple((v, g.cardinality(v)) for v in g.names), joint)
 
 
@@ -231,8 +220,7 @@ def chain_factorize(p: JointTable, order: Sequence[str]) -> list[ConditionalTabl
         m = p.marginal(context + [v])
         denom = m.sum(axis=-1, keepdims=True)
         card = p.card(v)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = np.where(denom > 0, m / np.where(denom > 0, denom, 1.0), 1.0 / card)
+        cond = np.where(denom > 0, m / np.where(denom > 0, denom, 1.0), 1.0 / card)
         out.append(ConditionalTable(v, tuple(context), cond))
     return out
 
@@ -442,19 +430,24 @@ def graphoid_audit(p: JointTable, eps: float = DEFAULT_EPS, trials: int = 1000,
     return AuditReport("graphoid audit", tuple(checks))
 
 
+def _simplex_draws(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """An array of ``shape`` whose last-axis slices are drawn uniformly from
+    the probability simplex: unit-exponential draws over their slice sum."""
+    draws = rng.exponential(1.0, size=shape)
+    return draws / draws.sum(axis=-1, keepdims=True)
+
+
 def random_conditional_tables(g: Dag, rng: np.random.Generator) -> list[ConditionalTable]:
     """One conditional table per node, each slice drawn uniformly from the
-    probability simplex (normalized unit-exponential draws). Iteration
-    follows declaration order, so the output is a function of the
-    generator state alone. A table over more than MAX_TABLE_CELLS cells is
-    refused before it is drawn."""
+    probability simplex. Iteration follows declaration order, so the output
+    is a function of the generator state alone. A table over more than
+    MAX_TABLE_CELLS cells is refused before it is drawn."""
     out = []
     for v in g.names:
         parents = g.ordered_parents(v)
         shape = tuple(g.cardinality(u) for u in parents) + (g.cardinality(v),)
         _check_cells(shape)
-        draws = rng.exponential(1.0, size=shape)
-        out.append(ConditionalTable(v, parents, draws / draws.sum(axis=-1, keepdims=True)))
+        out.append(ConditionalTable(v, parents, _simplex_draws(rng, shape)))
     return out
 
 
@@ -492,9 +485,12 @@ def _read_table(lines: Iterable[tuple[int, list[str]]], variables: Sequence[tupl
     value out of its variable's range, a non-finite or negative
     probability, or an assignment seen before. A cell without a row is
     zero, or with ``complete`` set a fault, raised before the gate.
+
+    The table itself records which cells rows have filled: it starts at
+    NaN, and no row can write NaN because its probability is checked
+    finite first, so a cell that holds a number was given by an earlier row.
     """
-    table = np.zeros(tuple(c for _, c in variables))
-    seen: set[tuple[int, ...]] = set()
+    table = np.full(tuple(c for _, c in variables), np.nan)
     for lineno, tokens in lines:
         if len(tokens) != len(variables) + 1:
             raise GraphError(f"line {lineno}: expected {len(variables)} values and a probability")
@@ -512,12 +508,13 @@ def _read_table(lines: Iterable[tuple[int, list[str]]], variables: Sequence[tupl
             raise GraphError(f"line {lineno}: probability must be finite")
         if prob < 0:
             raise GraphError(f"line {lineno}: negative probability")
-        if values in seen:
+        if not math.isnan(table[values]):
             raise GraphError(f"line {lineno}: duplicate assignment")
-        seen.add(values)
         table[values] = prob
-    if complete and len(seen) < table.size:
+    empty = np.isnan(table)
+    if complete and empty.any():
         raise GraphError(f"{what} is missing assignments")
+    table[empty] = 0.0
     return table / _stochastic(table, what, axes=axes, tol=1e-9).sum(axis=axes, keepdims=True)
 
 

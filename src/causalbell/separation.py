@@ -63,7 +63,8 @@ class UndirectedPath:
         """Raise GraphError unless every step is an actual edge of ``g``."""
         for a, fwd, b in zip(self.nodes, self.forward, self.nodes[1:]):
             tail, head = (a, b) if fwd else (b, a)
-            if tail not in g or head not in g or not g._cmask[g.index(tail)] >> g.index(head) & 1:
+            t, h = g._index.get(tail), g._index.get(head)
+            if t is None or h is None or not g._cmask[t] >> h & 1:
                 raise GraphError(f"path step {a}{'->' if fwd else '<-'}{b} is not an edge")
 
     def colliders(self) -> tuple[str, ...]:

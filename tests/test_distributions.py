@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,14 +191,12 @@ def test_joint_from_tables_errors():
 
 
 def _remultiply(p: JointTable, cpts):
-    from causalbell.distributions import _aligned
-
+    """The product of ``cpts`` over ``p``'s axes, by one einsum."""
     names = list(p.names)
-    acc = np.ones(p.probabilities.shape)
+    operands = []
     for t in cpts:
-        axes = [names.index(u) for u in t.parent_names] + [names.index(t.child)]
-        acc = acc * _aligned(t.entries, axes, len(names), p.probabilities.shape)
-    return acc
+        operands += [t.entries, [names.index(u) for u in (*t.parent_names, t.child)]]
+    return np.einsum(*operands, range(len(names)))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -657,6 +656,8 @@ def test_written_files_are_pinned_byte_for_byte():
 @pytest.mark.parametrize("text,fragment", [
     ("0 0 0.5", "header"),
     ("vars P:2\n0 0.5\n0 0.5", "duplicate assignment"),
+    # the writer omits zero rows, but a hand-written repeat of one is still a repeat
+    ("vars P:2\n0 0\n0 0\n1 1", "^line 3: duplicate assignment$"),
     ("vars P:2\n2 0.5", "out of range"),
     ("vars P:2\n0 0.9", "outside 1"),
     ("vars P:2\n0 -0.1\n1 1.1", "negative"),
@@ -690,3 +691,21 @@ def test_distribution_loader_renormalizes_within_gate():
     text = "vars P:2\n0 0.5000000001\n1 0.5\n"
     p = parse_distribution(text)
     assert abs(float(p.probabilities.sum()) - 1.0) <= 1e-12
+
+
+def test_parsing_a_table_file_keeps_no_second_record_of_its_rows():
+    """The reader's peak allocation stays within a small multiple of the
+    text, because the parsed table is the only record of which cells rows
+    filled. On this 2^14-cell file the peak is about 2.6 times the text's
+    length; a second record, a set of one assignment tuple per row, takes
+    it to about 5.9."""
+    draws = np.random.default_rng(0).exponential(1.0, size=(2,) * 14)
+    text = format_distribution(JointTable(tuple((f"V{i}", 2) for i in range(14)),
+                                          draws / draws.sum()))
+    tracemalloc.start()
+    try:
+        parse_distribution(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(text)
