@@ -9,9 +9,10 @@ outputs reproducible for equal inputs.
 
 Internally node i is the bit ``1 << i`` of a Python int, i its declaration
 index, and the edges are one parent mask and one child mask per node, so
-ascending bit order is declaration order. Construction fills the masks,
-checks duplicate edges with a bit test and sorts topologically with
-Kahn's algorithm on a mask of ready nodes. Nothing else is stored: a
+ascending bit order is declaration order. One routine reads a file's
+lines and the constructor's declarations alike, in one pass: it fills the
+masks, checks duplicate edges with a bit test, and then sorts
+topologically with Kahn's algorithm on a mask of ready nodes. Nothing else is stored: a
 causal past or future is closed from the set asked about along the
 parent or child masks, and every name-level view names the members of
 one mask.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain
 from numbers import Integral
 from typing import Container, Iterable, Iterator, Sequence
 
@@ -71,54 +73,106 @@ class Dag:
         nodes: Iterable[tuple[str, NodeKind | str, int]],
         edges: Iterable[tuple[str, str]] = (),
     ):
-        names: list[str] = []
-        index: dict[str, int] = {}
+        self._fill(chain(((None, ("node", v, k, c)) for v, k, c in nodes),
+                         ((None, ("edge", t, "->", h)) for t, h in edges)))
+
+    def _fill(self, lines: Iterable[tuple[int | None, Sequence]]) -> None:
+        """Read ``(line number, tokens)`` directives, in order, into every slot.
+
+        A file's lines come from ``_directive_lines``. The constructor
+        passes ``("node", name, kind, cardinality)`` and ``("edge", tail,
+        "->", head)`` with line None, holding values rather than words. A
+        file's syntax faults and its unknown edge endpoints raise when their
+        line is read; the first node fault and the first edge fault wait
+        until the last line has been read and then raise in that order.
+        With line None every fault raises at once.
+        """
+        index: dict[str, int] = {}  # in declaration order, so its keys are the names
         kinds: list[NodeKind] = []
         cards: list[int] = []
-        for name, kind, card in nodes:
-            if not isinstance(name, str) or not name.isidentifier():
-                raise GraphError(f"node name {name!r} is not an identifier")
-            if name in index:
-                raise GraphError(f"duplicate node {name!r}")
-            try:
-                node_kind = _KIND_OF[kind]
-            except (KeyError, TypeError):
-                raise GraphError(f"node {name!r}: unknown kind {kind!r}") from None
-            if not _is_int(card) or card < 1:
-                raise GraphError(
-                    f"node {name!r}: cardinality must be positive and integral, got {card!r}")
-            index[name] = len(names)
-            names.append(name)
-            kinds.append(node_kind)
-            cards.append(int(card))
-
-        pmask = [0] * len(names)
-        cmask = [0] * len(names)
-        edge_list: list[tuple[str, str]] = []
-        for tail, head in edges:
-            t = index.get(tail)
-            if t is None:
-                raise GraphError(f"unknown edge endpoint {tail!r}")
-            h = index.get(head)
-            if h is None:
-                raise GraphError(f"unknown edge endpoint {head!r}")
+        pmask: list[int] = []
+        cmask: list[int] = []
+        edges: list[tuple[str, str]] = []
+        node_fault = edge_fault = None
+        latent = NodeKind.LATENT  # an enum member lookup is slow; make it once
+        for line, tokens in lines:
+            word = tokens[0]
+            if word == "node":
+                if len(tokens) == 4:
+                    kind = tokens[2]
+                elif len(tokens) == 3:
+                    kind = "outcome"
+                else:
+                    raise DagParseError(line, "expected 'node <name> [<kind>] <cardinality>'")
+                name, card = tokens[1], tokens[-1]
+                if line is None:  # the constructor's values
+                    node_kind = _KIND_OF.get(kind) if isinstance(kind, str) else None
+                    integral = _is_int(card)
+                else:  # a file's words, whose syntax faults come first
+                    node_kind = _KIND_OF.get(kind)
+                    if node_kind is None:
+                        raise DagParseError(line, f"unknown node kind {kind!r}")
+                    try:
+                        card = int(card)
+                    except ValueError:
+                        raise DagParseError(line, f"expected cardinality, got {card!r}") from None
+                    integral = True
+                if not isinstance(name, str) or not name.isidentifier():
+                    fault = f"node name {name!r} is not an identifier"
+                elif name in index:
+                    fault = f"duplicate node {name!r}"
+                elif node_kind is None:  # only the constructor's values get here
+                    raise GraphError(f"node {name!r}: unknown kind {kind!r}")
+                elif not integral or card < 1:
+                    fault = (f"node {name!r}: cardinality must be positive and integral,"
+                             f" got {card!r}")
+                else:
+                    fault = None
+                if fault is not None:
+                    if line is None:
+                        raise GraphError(fault)
+                    node_fault = node_fault or DagParseError(line, fault)
+                    if name in index:
+                        continue
+                index[name] = len(index)
+                kinds.append(node_kind)
+                cards.append(int(card))
+                pmask.append(0)
+                cmask.append(0)
+                continue
+            if word != "edge":
+                raise DagParseError(line, f"unknown directive {word!r}")
+            if len(tokens) != 4 or tokens[2] != "->":
+                raise DagParseError(line, "expected 'edge <name> -> <name>'")
+            tail, head = tokens[1], tokens[3]
+            t, h = index.get(tail), index.get(head)
+            if t is None or h is None:
+                fault = f"unknown edge endpoint {tail if t is None else head!r}"
+                raise GraphError(fault) if line is None else DagParseError(line, fault)
             if t == h:
-                raise GraphError(f"self-loop on {tail!r}")
-            if pmask[h] >> t & 1:
-                raise GraphError(f"duplicate edge {tail!r} -> {head!r}")
-            if kinds[h] is NodeKind.LATENT:
-                raise GraphError(f"latent node {head!r} cannot have an incoming edge")
-            pmask[h] |= 1 << t
-            cmask[t] |= 1 << h
-            edge_list.append((tail, head))
+                fault = f"self-loop on {tail!r}"
+            elif pmask[h] >> t & 1:
+                fault = f"duplicate edge {tail!r} -> {head!r}"
+            elif kinds[h] is latent:
+                fault = f"latent node {head!r} cannot have an incoming edge"
+            else:
+                pmask[h] |= 1 << t
+                cmask[t] |= 1 << h
+                edges.append((tail, head))
+                continue
+            if line is None:
+                raise GraphError(fault)
+            edge_fault = edge_fault or DagParseError(line, fault)
+        if node_fault or edge_fault:
+            raise node_fault or edge_fault
 
-        self._names = tuple(names)
+        self._names = tuple(index)
         self._index = index
         self._kinds = kinds
         self._cards = cards
         self._pmask = pmask
         self._cmask = cmask
-        self._edges = tuple(edge_list)
+        self._edges = tuple(edges)
         self._order = self._toposort()
 
     def _toposort(self) -> list[int]:
@@ -134,9 +188,12 @@ class Dag:
             done |= low
             i = low.bit_length() - 1
             order.append(i)
-            for j in _bits(cmask[i]):
-                if pmask[j] & done == pmask[j]:
-                    ready |= 1 << j
+            kids = cmask[i]
+            while kids:
+                low = kids & -kids
+                kids ^= low
+                if not pmask[low.bit_length() - 1] & ~done:
+                    ready |= low
         if len(order) < len(pmask):
             raise CycleError(self._find_cycle((1 << len(pmask)) - 1 & ~done))
         return order
@@ -205,7 +262,9 @@ class Dag:
         return self._cards[self.index(name)]
 
     def nodes_of_kind(self, kind: NodeKind | str) -> tuple[str, ...]:
-        kind = NodeKind(kind)
+        if not isinstance(kind, str) or kind not in _KIND_OF:
+            raise GraphError(f"unknown kind {kind!r}")
+        kind = _KIND_OF[kind]
         return tuple([v for v, k in zip(self._names, self._kinds) if k is kind])
 
     # --- structural queries ------------------------------------------------
@@ -313,8 +372,10 @@ def bell_dag(lambda_card: int = DEFAULT_LAMBDA_CARD) -> Dag:
 def _directive_lines(text: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, tokens) for each line of ``text`` that holds more than
     blanks and a ``#`` comment; numbering starts at 1."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
+    lines = text.splitlines()
+    if "#" in text:
+        lines = (raw.split("#", 1)[0] for raw in lines)
+    for lineno, tokens in enumerate(map(str.split, lines), start=1):
         if tokens:
             yield lineno, tokens
 
@@ -328,51 +389,15 @@ def parse_dag(text: str) -> Dag:
         edge <name> -> <name>
 
     Endpoints must be declared before the edge that uses them. Parsing a
-    serialized graph reproduces the structure exactly. The parser checks
-    only the file syntax; ``Dag`` checks the structure, and any error it
-    raises other than a cycle is tagged with the line of the node or edge
-    it was reading. ``Dag`` reads every node before any edge, so a node
-    fault is reported before an edge fault on an earlier line.
+    serialized graph reproduces the structure exactly. Syntax faults are
+    reported in line order; then the first node fault (a name that is no
+    identifier or repeats, a cardinality below 1), then the first edge
+    fault (a self-loop, a repeat, an edge into a latent node), each tagged
+    with its line, and then a directed cycle, which has no line.
     """
-    nodes: list[tuple[int, tuple[str, str, int]]] = []
-    edges: list[tuple[int, tuple[str, str]]] = []
-    declared: set[str] = set()
-    for lineno, tokens in _directive_lines(text):
-        if tokens[0] == "node":
-            if len(tokens) not in (3, 4):
-                raise DagParseError(lineno, "expected 'node <name> [<kind>] <cardinality>'")
-            kind_word = tokens[2] if len(tokens) == 4 else "outcome"
-            if kind_word not in _KIND_OF:
-                raise DagParseError(lineno, f"unknown node kind {kind_word!r}")
-            try:
-                card = int(tokens[-1])
-            except ValueError:
-                raise DagParseError(lineno, f"expected cardinality, got {tokens[-1]!r}") from None
-            declared.add(tokens[1])
-            nodes.append((lineno, (tokens[1], kind_word, card)))
-        elif tokens[0] == "edge":
-            if len(tokens) != 4 or tokens[2] != "->":
-                raise DagParseError(lineno, "expected 'edge <name> -> <name>'")
-            for endpoint in (tokens[1], tokens[3]):
-                if endpoint not in declared:
-                    raise DagParseError(lineno, f"unknown edge endpoint {endpoint!r}")
-            edges.append((lineno, (tokens[1], tokens[3])))
-        else:
-            raise DagParseError(lineno, f"unknown directive {tokens[0]!r}")
-
-    line = 0
-
-    def consume(items):  # yields each item, recording the line it came from
-        nonlocal line
-        for line, item in items:
-            yield item
-
-    try:
-        return Dag(consume(nodes), consume(edges))
-    except CycleError:
-        raise
-    except GraphError as exc:
-        raise DagParseError(line, str(exc)) from None
+    dag = Dag.__new__(Dag)
+    dag._fill(_directive_lines(text))
+    return dag
 
 
 @dataclass(frozen=True)
@@ -380,17 +405,22 @@ class CondQuery:
     """A conditional independence / separation query (X, Y | Z).
 
     X and Y must be nonempty and the three sets pairwise disjoint; Z may
-    be empty. Any iterable of names is accepted and frozen.
+    be empty. Any iterable of names is accepted and frozen, except a
+    string, which would be read as a set of characters.
     """
 
     x: frozenset[str]
     y: frozenset[str]
     z: frozenset[str] = frozenset()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", frozenset(self.x))
-        object.__setattr__(self, "y", frozenset(self.y))
-        object.__setattr__(self, "z", frozenset(self.z))
+    def __init__(self, x: Iterable[str], y: Iterable[str], z: Iterable[str] = frozenset()):
+        for label, names in (("X", x), ("Y", y), ("Z", z)):
+            if isinstance(names, str):
+                raise GraphError(
+                    f"query set {label} must be a collection of names, not the string {names!r}")
+        object.__setattr__(self, "x", frozenset(x))
+        object.__setattr__(self, "y", frozenset(y))
+        object.__setattr__(self, "z", frozenset(z))
 
     def validate(self, universe: Container[str]) -> None:
         """Raise GraphError unless the query is well-formed over ``universe``."""
@@ -404,4 +434,6 @@ class CondQuery:
 def _check_known(universe: Container[str], names: Iterable[str]) -> None:
     unknown = {v for v in names if v not in universe}
     if unknown:
-        raise GraphError(f"unknown node(s) in query: {sorted(unknown)}")
+        # names first, in their own order, then anything else by its text
+        listed = sorted(unknown, key=lambda v: (not isinstance(v, str), str(v)))
+        raise GraphError(f"unknown node(s) in query: {listed}")

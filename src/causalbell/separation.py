@@ -29,10 +29,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
-from .graph import CondQuery, Dag, GraphError, NodeKind, _check_known, _closure
+from .graph import CondQuery, Dag, GraphError, NodeKind, _bits, _check_known, _closure
 from .report import _align_columns
+
+# the kinds, bound once: looking an enum member up on its class is a descriptor call
+_SETTING, _OUTCOME, _LATENT = NodeKind.SETTING, NodeKind.OUTCOME, NodeKind.LATENT
 
 
 @dataclass(frozen=True)
@@ -118,12 +121,23 @@ def path_d_blocked(g: Dag, p: UndirectedPath, z: frozenset[str] | set[str]) -> b
     return False
 
 
-def _mask(index: dict[str, int], names) -> int:
-    """The bit mask of ``names``, which must all be in ``index``."""
-    m = 0
-    for v in names:
-        m |= 1 << index[v]
-    return m
+def _query_masks(g: Dag, q: CondQuery) -> tuple[int, int, int]:
+    """X, Y and Z as node masks; a query that is malformed over ``g``
+    raises the error ``CondQuery.validate`` reports for it."""
+    index = g._index
+    x = y = z = 0
+    try:
+        for v in q.x:
+            x |= 1 << index[v]
+        for v in q.y:
+            y |= 1 << index[v]
+        for v in q.z:
+            z |= 1 << index[v]
+    except KeyError:  # an unknown name
+        x = 0
+    if not x or not y or x & y or x & z or y & z:
+        q.validate(g)
+    return x, y, z
 
 
 def _states_reaching(pmask: list[int], cmask: list[int], y: int, blockers: int,
@@ -208,25 +222,29 @@ def _open_paths(g: Dag, x: int, y: int, blockers: int, activators: int,
         frontier.append((to_parents | to_children) & ~on_path)
 
 
-def _decide(g: Dag, q: CondQuery, blockers: int, activators: int,
-            ends_open: Callable[[int], int] | None = None) -> SeparationVerdict:
-    # One sweep per y decides every pair ending at y; ``ends_open(y)``, when
-    # given, masks out the x whose pair with y a clause on the endpoints
-    # alone makes inactive. Pairs are tried in declaration order; the first
-    # connected one gets the first open path of enumeration order as
-    # witness, and that search checks the sweep.
-    index = g._index
+_SEPARATED = SeparationVerdict(True)
+
+
+def _decide(g: Dag, xs: int, ys: int, blockers: int, activators: int,
+            settings: int | None = None) -> SeparationVerdict:
+    # One sweep per y decides every pair ending at y. With ``settings``
+    # given, the typed rule's clauses on the endpoints alone also mask out
+    # x whose pair with y they make inactive, ``activators`` being the
+    # nodes that reach Z's outcomes. Pairs are tried in declaration order;
+    # the first connected one gets the first open path of enumeration order
+    # as witness, and that search checks the sweep.
     sweeps = []
-    for y in sorted([index[v] for v in q.y]):
+    for y in _bits(ys):
         up, down = _states_reaching(g._pmask, g._cmask, y, blockers, activators)
-        sweeps.append((y, up, down, up if ends_open is None else up & ends_open(y)))
-    for x in sorted([index[v] for v in q.x]):
+        hits = up if settings is None else up & _ends_open(g, y, settings, activators)
+        sweeps.append((y, up, down, hits))
+    for x in _bits(xs):
         for y, up, down, hits in sweeps:
             if hits >> x & 1:
                 for path in _open_paths(g, x, y, blockers, activators, up, down):
                     return SeparationVerdict(False, path)
                 raise AssertionError("reachability sweep and path search disagree")
-    return SeparationVerdict(True)
+    return _SEPARATED
 
 
 def d_separated(g: Dag, q: CondQuery) -> SeparationVerdict:
@@ -236,9 +254,8 @@ def d_separated(g: Dag, q: CondQuery) -> SeparationVerdict:
     descendants is in Z. When the sets are connected, the witness is the
     first active path in enumeration order.
     """
-    q.validate(g)
-    z = _mask(g._index, q.z)
-    return _decide(g, q, z, _closure(g._pmask, z))
+    x, y, z = _query_masks(g, q)
+    return _decide(g, x, y, z, _closure(g._pmask, z))
 
 
 def path_q_inactive(g: Dag, p: UndirectedPath, z: frozenset[str] | set[str]) -> bool:
@@ -291,17 +308,20 @@ def q_separated(g: Dag, q: CondQuery) -> SeparationVerdict:
     L -> X, L -> Y with settings X and Y the answer is "separated", while
     ``d_separated`` finds the open path X<-L->Y.
     """
-    q.validate(g)
-    index, kinds = g._index, g._kinds
-    for i in sorted([index[v] for v in q.x | q.y]):
-        if kinds[i] is NodeKind.LATENT:
+    x, y, z = _query_masks(g, q)
+    kinds = g._kinds
+    settings = z_outcomes = 0
+    for i in _bits(x | y):
+        if kinds[i] is _LATENT:
             raise GraphError(f"latent node {g._names[i]!r} not allowed in a q-separation query")
-    settings = _mask(index, [v for v in q.x | q.y if kinds[index[v]] is NodeKind.SETTING])
+        if kinds[i] is _SETTING:
+            settings |= 1 << i
+    for i in _bits(z):
+        if kinds[i] is _OUTCOME:
+            z_outcomes |= 1 << i
     # A node outside Z reaches an outcome in Z iff it lies in this set;
     # colliders are open only inside it and nothing else ever blocks.
-    z_outcomes = _mask(index, [v for v in q.z if kinds[index[v]] is NodeKind.OUTCOME])
-    reaches = _closure(g._pmask, z_outcomes)
-    return _decide(g, q, 0, reaches, lambda y: _ends_open(g, y, settings, reaches))
+    return _decide(g, x, y, 0, _closure(g._pmask, z_outcomes), settings)
 
 
 def _ends_open(g: Dag, y: int, settings: int, reaches: int) -> int:
@@ -380,9 +400,9 @@ def compare_criteria(g: Dag) -> CompareReport:
             f"compare_criteria supports at most {MAX_COMPARE_NODES} nodes, got {len(g)}"
         )
     names, kinds, pmask, cmask = g._names, g._kinds, g._pmask, g._cmask
-    outcomes = _mask(g._index, g.nodes_of_kind(NodeKind.OUTCOME))
-    settings = _mask(g._index, g.nodes_of_kind(NodeKind.SETTING))
-    endpoints = [i for i, k in enumerate(kinds) if k is not NodeKind.LATENT]
+    outcomes = sum([1 << i for i, k in enumerate(kinds) if k is _OUTCOME])
+    settings = sum([1 << i for i, k in enumerate(kinds) if k is _SETTING])
+    endpoints = [i for i, k in enumerate(kinds) if k is not _LATENT]
     # (y, Z mask) -> (nodes d-connected to y, nodes q-connected to y)
     connected: dict[tuple[int, int], tuple[int, int]] = {}
     # Z mask -> (Z and its ancestors, Z's outcomes and their ancestors)

@@ -142,6 +142,123 @@ def test_parse_errors_carry_line_numbers(text, lineno, fragment):
     assert fragment in str(exc.value)
 
 
+# Malformed DAG texts with the fault each one reports: (text, line, message).
+# Syntax faults come in line order; then node faults, then edge faults, each
+# tagged with its line; a cycle comes last and carries no line.
+PARSE_FAULTS = [
+    # every fault kind
+    ("bogus X", 1, "unknown directive 'bogus'"),
+    ("NODE X 2", 1, "unknown directive 'NODE'"),
+    ("->", 1, "unknown directive '->'"),
+    ("node X", 1, "expected 'node <name> [<kind>] <cardinality>'"),
+    ("node X setting outcome 2", 1, "expected 'node <name> [<kind>] <cardinality>'"),
+    ("node X widget 2", 1, "unknown node kind 'widget'"),
+    ("node X Setting 2", 1, "unknown node kind 'Setting'"),
+    ("node X setting two", 1, "expected cardinality, got 'two'"),
+    ("node X setting 2.0", 1, "expected cardinality, got '2.0'"),
+    ("node X setting", 1, "expected cardinality, got 'setting'"),
+    ("node X 0", 1, "node 'X': cardinality must be positive and integral, got 0"),
+    ("node X -1", 1, "node 'X': cardinality must be positive and integral, got -1"),
+    ("node X -0", 1, "node 'X': cardinality must be positive and integral, got 0"),
+    ("node 1X 2", 1, "node name '1X' is not an identifier"),
+    ("node a-b 2", 1, "node name 'a-b' is not an identifier"),
+    ("node X 2\nnode X 3", 2, "duplicate node 'X'"),
+    ("edge X -> Y", 1, "unknown edge endpoint 'X'"),
+    ("node X 2\nedge X Y", 2, "expected 'edge <name> -> <name>'"),
+    ("node X 2\nedge X - > Y", 2, "expected 'edge <name> -> <name>'"),
+    ("node X 2\nedge X => X", 2, "expected 'edge <name> -> <name>'"),
+    ("node X 2\nedge X ->", 2, "expected 'edge <name> -> <name>'"),
+    ("node X 2\nedge X -> Y", 2, "unknown edge endpoint 'Y'"),
+    ("node Y 2\nedge X -> Y", 2, "unknown edge endpoint 'X'"),
+    ("node X 2\nedge X -> X", 2, "self-loop on 'X'"),
+    ("node X 2\nnode Y 2\nedge X -> Y\nedge X -> Y", 4, "duplicate edge 'X' -> 'Y'"),
+    ("node X 2\nnode L latent 2\nedge X -> L", 3,
+     "latent node 'L' cannot have an incoming edge"),
+    # mixed faults, where precedence decides
+    ("node X 2\nnode X 2\nbogus", 3, "unknown directive 'bogus'"),
+    ("node X 0\nnode Y widget 2", 2, "unknown node kind 'widget'"),
+    ("node 1X 2\nnode Y 2\nedge 1X -> Y", 1, "node name '1X' is not an identifier"),
+    ("node 1X 2\nedge 1X -> Y", 2, "unknown edge endpoint 'Y'"),
+    ("node 1X 2\nnode Y 2\nedge 1X -> Y\nbogus", 4, "unknown directive 'bogus'"),
+    ("node X 2\nedge X -> X\nnode X 2", 3, "duplicate node 'X'"),
+    ("node X 2\nedge X -> X\nnode Y 0", 3,
+     "node 'Y': cardinality must be positive and integral, got 0"),
+    ("node X 2\nnode Y 2\nedge X -> Y\nedge X -> Y\nedge Y -> X", 4, "duplicate edge 'X' -> 'Y'"),
+    ("node X 2\nnode Y 2\nedge Y -> X\nedge X -> Y\nedge X -> X", 5, "self-loop on 'X'"),
+    ("node X 2\nnode Y 2\nedge X -> Y\nedge Y -> X\nnode Z 0", 5,
+     "node 'Z': cardinality must be positive and integral, got 0"),
+    ("node X 2\nnode Y 2\nedge X -> Y\nedge Y -> X\nnode Z two", 5,
+     "expected cardinality, got 'two'"),
+    ("node X 2\nnode L latent 2\nedge X -> L\nedge L -> X\nedge X -> Q", 5,
+     "unknown edge endpoint 'Q'"),
+    ("node X 2\nnode X 2\nedge X -> X\nedge X -> Y", 4, "unknown edge endpoint 'Y'"),
+    ("node X 0\nnode X 2\nnode 2Z 2", 1,
+     "node 'X': cardinality must be positive and integral, got 0"),
+    ("node 2Z 2\nnode X 0", 1, "node name '2Z' is not an identifier"),
+    ("node X 2\nnode L latent 2\nedge X -> L\nnode L 2", 4, "duplicate node 'L'"),
+    ("node X 2\nnode Y latent 2\nedge X -> Y\nedge X -> Y", 3,
+     "latent node 'Y' cannot have an incoming edge"),
+    # every line break str.splitlines knows, blank lines and comments
+    ("node X 2\r\nbogus\r\n", 2, "unknown directive 'bogus'"),
+    ("node X 2\rbogus", 2, "unknown directive 'bogus'"),
+    ("node X 2\x0bbogus", 2, "unknown directive 'bogus'"),
+    ("node X 2\x0cbogus", 2, "unknown directive 'bogus'"),
+    ("node X 2\x1cnode Y 2\x1dnode Z 2\x1ebogus", 4, "unknown directive 'bogus'"),
+    ("node X 2\x85bogus", 2, "unknown directive 'bogus'"),
+    ("node X 2 node Y 2 bogus", 3, "unknown directive 'bogus'"),
+    ("node X 2\n\n\n  \t\n# note\nbogus", 6, "unknown directive 'bogus'"),
+    ("node\xa0X\xa02\nbogus", 2, "unknown directive 'bogus'"),
+    ("# a comment\nnode X 2 # trailing\nedge X -> X # self", 3, "self-loop on 'X'"),
+    ("node X 2#comment\nnode X 2", 2, "duplicate node 'X'"),
+    ("node X # 2", 1, "expected 'node <name> [<kind>] <cardinality>'"),
+    ("#node X 2\nedge X -> Y", 2, "unknown edge endpoint 'X'"),
+]
+
+
+@pytest.mark.parametrize("text,lineno,message", PARSE_FAULTS)
+def test_parse_fault_table(text, lineno, message):
+    with pytest.raises(DagParseError) as exc:
+        parse_dag(text)
+    assert type(exc.value) is DagParseError
+    assert exc.value.line == lineno
+    assert str(exc.value) == f"line {lineno}: {message}"
+
+
+@pytest.mark.parametrize("text,cycle", [
+    ("node X 2\nnode Y 2\nedge X -> Y\nedge Y -> X", ["X", "Y", "X"]),
+    ("node P 2\nnode Q 2\nnode R 2\nedge Q -> R\nedge R -> P\nedge P -> Q",
+     ["P", "Q", "R", "P"]),
+    ("node X +1\nnode Y 1_0\nnode Z ٣\nedge X -> Y\nedge Y -> X", ["X", "Y", "X"]),
+])
+def test_parse_cycle_table(text, cycle):
+    with pytest.raises(CycleError) as exc:
+        parse_dag(text)
+    assert type(exc.value) is CycleError
+    assert exc.value.cycle == cycle
+    assert str(exc.value) == "cycle detected: " + " -> ".join(cycle)
+
+
+def test_parse_accepts_what_int_accepts_and_every_line_break():
+    g = parse_dag("node X +1\nnode Y 1_0\nnode Z ٣\nedge X -> Y\n")
+    assert [g.cardinality(v) for v in g.names] == [1, 10, 3]
+    assert g.edges == (("X", "Y"),)
+    g = parse_dag("node X 2 # c\r\nnode Y setting 3\x0bedge Y -> X\n")
+    assert g.names == ("X", "Y")
+    assert [g.cardinality(v) for v in g.names] == [2, 3]
+    assert [g.kind(v) for v in g.names] == [NodeKind.OUTCOME, NodeKind.SETTING]
+    assert g.edges == (("Y", "X"),)
+
+
+def test_parsed_and_constructed_dags_fill_the_same_slots():
+    rng = np.random.default_rng(21)
+    for _ in range(60):
+        g = random_typed_dag(rng, n_nodes=int(rng.integers(1, 9)))
+        parsed = parse_dag(g.to_text())
+        for slot in Dag.__slots__:
+            assert getattr(parsed, slot) == getattr(g, slot), slot
+            assert type(getattr(parsed, slot)) is type(getattr(g, slot)), slot
+
+
 def test_parse_serialize_parse_identity():
     g1 = parse_dag(BELL_FILE)
     g2 = parse_dag(g1.to_text())
@@ -182,10 +299,31 @@ def test_constructor_rejects_bad_input():
      "duplicate edge 'X' -> 'Y'"),
     ([("X", "outcome", 2)], [("X", "X")], "self-loop on 'X'"),
     ([("X", "outcome", 2)], [("X", "W")], "unknown edge endpoint 'W'"),
+    ([("bad name", "outcome", 2)], [], "node name 'bad name' is not an identifier"),
+    ([(5, "outcome", 2)], [], "node name 5 is not an identifier"),
+    ([("1X", "thing", 0)], [], "node name '1X' is not an identifier"),
+    ([("X", "outcome", 2), ("X", "thing", 0)], [], "duplicate node 'X'"),
+    ([("X", "thing", 0)], [], "node 'X': unknown kind 'thing'"),
+    ([("X", None, 2)], [], "node 'X': unknown kind None"),
+    ([("X", "outcome", 0)], [], "node 'X': cardinality must be positive and integral, got 0"),
+    ([("X", "outcome", -3)], [], "node 'X': cardinality must be positive and integral, got -3"),
+    ([("X", "outcome", 2.5)], [], "node 'X': cardinality must be positive and integral, got 2.5"),
+    ([("X", "outcome", 2.0)], [], "node 'X': cardinality must be positive and integral, got 2.0"),
+    ([("X", "outcome", True)], [], "node 'X': cardinality must be positive and integral, got True"),
+    ([("X", "outcome", "2")], [], "node 'X': cardinality must be positive and integral, got '2'"),
+    ([("X", "outcome", None)], [], "node 'X': cardinality must be positive and integral, got None"),
+    ([("1X", "outcome", 2)], [("X", "Y")], "node name '1X' is not an identifier"),
+    ([("X", "outcome", 2)], [("Y", "X")], "unknown edge endpoint 'Y'"),
+    ([("X", "outcome", 2), ("L", "latent", 2)], [("X", "L"), ("X", "X")],
+     "latent node 'L' cannot have an incoming edge"),
+    ([("X", "outcome", 2), ("Y", "outcome", 2)], [("X", "X"), ("Q", "X")], "self-loop on 'X'"),
+    ([("X", NodeKind.LATENT, 2), ("Y", "outcome", 2)], [("Y", "X")],
+     "latent node 'X' cannot have an incoming edge"),
 ])
 def test_constructor_messages(nodes, edges, message):
     with pytest.raises(GraphError) as exc:
         Dag(nodes, edges)
+    assert type(exc.value) is GraphError
     assert str(exc.value) == message
 
 
@@ -193,6 +331,18 @@ def test_kind_accepts_words_and_members():
     g = Dag([("X", NodeKind.SETTING, 2), ("A", "outcome", 2)], [("X", "A")])
     assert g.kind("X") is NodeKind.SETTING and g.kind("A") is NodeKind.OUTCOME
     assert g == Dag([("X", "setting", 2), ("A", NodeKind.OUTCOME, 2)], [("X", "A")])
+
+
+def test_nodes_of_kind_takes_words_and_members_and_refuses_the_rest():
+    g = parse_dag(BELL_FILE)
+    assert g.nodes_of_kind("setting") == ("X", "Y")
+    assert g.nodes_of_kind(NodeKind.LATENT) == ("Lambda",)
+    for bad, shown in (("bogus", "'bogus'"), ("Setting", "'Setting'"), (None, "None"),
+                       (["setting"], "['setting']")):
+        with pytest.raises(GraphError) as exc:
+            g.nodes_of_kind(bad)
+        assert type(exc.value) is GraphError
+        assert str(exc.value) == f"unknown kind {shown}"
 
 
 def test_bell_structure_queries():

@@ -189,6 +189,40 @@ def test_dsep_rejects_bad_queries(bell):
         d_separated(bell, CondQuery({"X"}, {"Nope"}))
 
 
+@pytest.mark.parametrize("decider", [d_separated, q_separated])
+@pytest.mark.parametrize("x,y,z,message", [
+    (set(), {"A"}, set(), "query sets X and Y must be nonempty"),
+    ({"A"}, set(), {"Nope"}, "query sets X and Y must be nonempty"),
+    ({"X"}, {"X"}, set(), "overlapping query sets"),
+    ({"X"}, {"Y"}, {"X"}, "overlapping query sets"),
+    ({"W"}, {"W"}, set(), "overlapping query sets"),
+    ({"X", "W"}, {"Y"}, {"W"}, "overlapping query sets"),
+    ({"X"}, {"Nope"}, set(), "unknown node(s) in query: ['Nope']"),
+    ({"X"}, {"Y"}, {"W", "V"}, "unknown node(s) in query: ['V', 'W']"),
+    ({"X"}, {5, "zz"}, set(), "unknown node(s) in query: ['zz', 5]"),
+    ({"X", 2.5, "b"}, {"Y"}, {10, "a"}, "unknown node(s) in query: ['a', 'b', 10, 2.5]"),
+])
+def test_deciders_report_the_query_fault(bell, decider, x, y, z, message):
+    with pytest.raises(GraphError) as exc:
+        decider(bell, CondQuery(x, y, z))
+    assert type(exc.value) is GraphError
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("args,label", [
+    (("AB", {"X"}), "X"),
+    (({"A"}, "Lambda"), "Y"),
+    (({"A"}, {"B"}, "XY"), "Z"),
+])
+def test_a_string_is_not_a_query_set(bell, args, label):
+    text = [a for a in args if isinstance(a, str)][0]
+    with pytest.raises(GraphError) as exc:
+        CondQuery(*args)
+    assert str(exc.value) == (
+        f"query set {label} must be a collection of names, not the string {text!r}")
+    assert CondQuery(["AB"], {"X"}).x == {"AB"}
+
+
 def test_dsep_matches_path_oracle_exhaustively_n3():
     for g in all_dags(3):
         _assert_oracle_agreement(g)
