@@ -5,11 +5,15 @@ variables. Conditional independence is tested in the division-free form
 
     | P(x,y,z) * P(z) - P(x,z) * P(y,z) | <= eps   for all assignments,
 
-which stays exact near zero-probability conditioning events. On top of
-the basic test sit the graph audits (local Markov, ancestor screening,
-common-cause screening) and a randomized audit of the five closure
-axioms of conditional independence. Everything here is pure and
-deterministic per seed; tables are write-locked after construction.
+which stays exact near zero-probability conditioning events. Its one
+home is ``_ci_violations``. Its known blind spot: each term scales like
+P(z)^2, so a dependence inside small conditioning cells goes unseen;
+A = B next to 14 fair coins reads 9.3e-10 and passes at eps 1e-9
+(ROADMAP item 1). On top of the basic test sit the graph audits (local
+Markov, ancestor screening, common-cause screening) and a randomized
+audit of the five closure axioms of conditional independence.
+Everything here is pure and deterministic per seed; tables are
+write-locked after construction.
 """
 
 from __future__ import annotations
@@ -229,6 +233,15 @@ def _ordered(p: JointTable, names: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(names, key=p.index))
 
 
+def _ci_violations(m: np.ndarray) -> np.ndarray:
+    """|P(xyz)P(z) - P(xz)P(yz)| in every cell of the marginal ``m``, whose
+    first three axes are X, Y and Z (each set's assignments flattened into
+    one axis) and whose further axes, if any, are batch axes."""
+    viol = m * m.sum(axis=(0, 1))
+    viol -= m.sum(axis=1)[:, None] * m.sum(axis=0)[None]
+    return np.abs(viol, out=viol)
+
+
 def ci_holds(p: JointTable, q: CondQuery, eps: float = DEFAULT_EPS) -> CiReport:
     """Test (X independent of Y given Z) in the division-free product form."""
     _check_eps(eps)
@@ -236,12 +249,8 @@ def ci_holds(p: JointTable, q: CondQuery, eps: float = DEFAULT_EPS) -> CiReport:
     xs, ys, zs = _ordered(p, q.x), _ordered(p, q.y), _ordered(p, q.z)
     m = p.marginal(list(xs + ys + zs))
     split = len(xs) + len(ys)
-    m3 = m.reshape(math.prod(m.shape[:len(xs)]), math.prod(m.shape[len(xs):split]),
-                   math.prod(m.shape[split:]))
-    pz = m3.sum(axis=(0, 1))
-    pxz = m3.sum(axis=1)
-    pyz = m3.sum(axis=0)
-    viol = np.abs(m3 * pz[None, None, :] - pxz[:, None, :] * pyz[None, :, :])
+    viol = _ci_violations(
+        m.reshape(math.prod(m.shape[:len(xs)]), math.prod(m.shape[len(xs):split]), -1))
     flat = int(viol.argmax())
     max_violation = float(viol.reshape(-1)[flat])
     holds = max_violation <= eps
@@ -293,8 +302,11 @@ def causal_markov_check(p: JointTable, g: Dag, eps: float = DEFAULT_EPS) -> Audi
 def compatible(p: JointTable, g: Dag, eps: float = DEFAULT_EPS) -> AuditReport:
     """Graph compatibility, decided through the local Markov property.
 
-    Equivalent to the existence of a conditional-table factorization
-    along the graph; the equivalence itself is exercised in the tests.
+    The checks are those of ``causal_markov_check``, titled "compatibility
+    audit". In exact arithmetic they hold iff ``p`` factorizes into one
+    conditional table per node given its parents (Pearl, *Causality*, 2nd
+    ed., Theorem 1.2.7); deciding by that factorization is the planned
+    second route (ROADMAP item 8), and no test checks the equivalence yet.
     """
     return _screening_audit(p, g, eps, "compatibility audit", g.parents)
 
@@ -404,10 +416,12 @@ def graphoid_audit(p: JointTable, eps: float = DEFAULT_EPS, trials: int = 1000,
         if w:
             if ci(x, y | w, z).holds:
                 fired += [("decomposition", (x, y, z)), ("weak_union", (x, y, z | w))]
-            if ci(x, y, z | w).holds and ci(x, w, z).holds:
-                fired.append(("contraction", (x, y | w, z)))
-            if ci(x, w, z | y).holds and ci(x, y, z | w).holds:
-                fired.append(("intersection", (x, y | w, z)))
+            # X _||_ Y | Z u W is contraction's and intersection's shared antecedent
+            if ci(x, y, z | w).holds:
+                if ci(x, w, z).holds:
+                    fired.append(("contraction", (x, y | w, z)))
+                if ci(x, w, z | y).holds:
+                    fired.append(("intersection", (x, y | w, z)))
         for axiom, query in fired:
             c = counts[axiom]
             c["fired"] += 1

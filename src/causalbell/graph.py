@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import chain
 from numbers import Integral
 from typing import Container, Iterable, Iterator, Sequence
 
@@ -62,7 +61,8 @@ class Dag:
 
     ``nodes`` is an ordered sequence of ``(name, kind, cardinality)``
     declarations; ``edges`` is a sequence of ``(tail, head)`` name pairs.
-    Construction rejects duplicate names, unknown endpoints, self-loops,
+    Construction rejects a declaration that does not unpack into those
+    fields, duplicate names, unknown endpoints, self-loops,
     duplicate edges, edges into latent nodes and directed cycles.
     """
 
@@ -73,8 +73,7 @@ class Dag:
         nodes: Iterable[tuple[str, NodeKind | str, int]],
         edges: Iterable[tuple[str, str]] = (),
     ):
-        self._fill(chain(((None, ("node", v, k, c)) for v, k, c in nodes),
-                         ((None, ("edge", t, "->", h)) for t, h in edges)))
+        self._fill(_declarations(nodes, edges))
 
     def _fill(self, lines: Iterable[tuple[int | None, Sequence]]) -> None:
         """Read ``(line number, tokens)`` directives, in order, into every slot.
@@ -311,6 +310,25 @@ class Dag:
         return "\n".join(lines) + "\n"
 
 
+def _declarations(nodes: Iterable[tuple[str, NodeKind | str, int]],
+                  edges: Iterable[tuple[str, str]]) -> Iterator[tuple[None, tuple]]:
+    """The constructor's declarations as ``Dag._fill`` directives with line
+    None, refusing one of the wrong length or that does not unpack."""
+    for decl in nodes:
+        try:
+            name, kind, card = decl
+        except (TypeError, ValueError):
+            raise GraphError(
+                f"node declaration {decl!r} is not (name, kind, cardinality)") from None
+        yield None, ("node", name, kind, card)
+    for decl in edges:
+        try:
+            tail, head = decl
+        except (TypeError, ValueError):
+            raise GraphError(f"edge declaration {decl!r} is not (tail, head)") from None
+        yield None, ("edge", tail, "->", head)
+
+
 def _closure(masks: list[int], m: int) -> int:
     """``m`` plus every node reachable from it along ``masks``, node i leading to ``masks[i]``."""
     todo = m
@@ -406,7 +424,8 @@ class CondQuery:
 
     X and Y must be nonempty and the three sets pairwise disjoint; Z may
     be empty. Any iterable of names is accepted and frozen, except a
-    string, which would be read as a set of characters.
+    string, which would be read as a set of characters; anything that
+    does not freeze raises GraphError.
     """
 
     x: frozenset[str]
@@ -418,9 +437,16 @@ class CondQuery:
             if isinstance(names, str):
                 raise GraphError(
                     f"query set {label} must be a collection of names, not the string {names!r}")
-        object.__setattr__(self, "x", frozenset(x))
-        object.__setattr__(self, "y", frozenset(y))
-        object.__setattr__(self, "z", frozenset(z))
+        try:
+            object.__setattr__(self, "x", frozenset(x))
+            object.__setattr__(self, "y", frozenset(y))
+            object.__setattr__(self, "z", frozenset(z))
+        except TypeError:
+            # x, y and z are set in that order: the fields set so far count
+            # the sets that froze, which is the index of the one that did not
+            i = len(vars(self))
+            raise GraphError(f"query set {'XYZ'[i]} must be a collection of names,"
+                             f" got {(x, y, z)[i]!r}") from None
 
     def validate(self, universe: Container[str]) -> None:
         """Raise GraphError unless the query is well-formed over ``universe``."""

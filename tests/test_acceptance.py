@@ -29,6 +29,7 @@ from causalbell.bell import (
 from causalbell.distributions import (
     ConditionalTable,
     JointTable,
+    _ci_violations,
     ci_holds,
     graphoid_audit,
     joint_from_tables,
@@ -179,16 +180,13 @@ def _batch_marginal(joints: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
 
 
 def _batch_violation(marginal: np.ndarray, keep: tuple[int, ...], xa, ya, za) -> np.ndarray:
-    """Per-joint maximum of the division-free independence statistic, from
-    the batch-last marginal on the ascending axes ``keep`` = xa + ya + za."""
+    """Per-joint maximum of the independence statistic (the library's kernel),
+    from the batch-last marginal on the ascending axes ``keep`` = xa + ya + za."""
     order = list(xa) + list(ya) + list(za)
     m = marginal.transpose(tuple(keep.index(a) for a in order) + (len(keep),))
     s = m.shape[-1]
     m = m.reshape(1 << len(xa), 1 << len(ya), 1 << len(za), s)
-    viol = m * m.sum(axis=(0, 1))
-    viol -= m.sum(axis=1)[:, None] * m.sum(axis=0)[None]
-    np.abs(viol, out=viol)
-    return viol.reshape(-1, s).max(axis=0)
+    return _ci_violations(m).reshape(-1, s).max(axis=0)
 
 
 def _blocked_all(g: Dag, paths, z) -> bool:

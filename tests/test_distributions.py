@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from causalbell.distributions import (
     VIOLATES_RPCC,
     ConditionalTable,
     JointTable,
+    _ci_violations,
     causal_completeness_check,
     causal_markov_check,
     chain_factorize,
@@ -304,6 +306,30 @@ def test_ci_witness_identifies_worst_assignment():
         - m[w["P"], :, w["R"]].sum() * m[:, w["Q"], w["R"]].sum()
     )
     assert got == pytest.approx(rep.max_violation, abs=1e-15)
+
+
+@pytest.mark.parametrize("xs,ys,zs", [
+    (("P", "Q"), ("R", "S"), ("T",)),
+    (("Q",), ("P",), ()),
+    (("P",), ("S", "T"), ("Q", "R")),
+])
+def test_ci_kernel_batch_axes_match_ci_holds(xs, ys, zs):
+    # four joints stacked on a trailing axis, one kernel call for all of them
+    variables = (("P", 2), ("Q", 3), ("R", 2), ("S", 2), ("T", 2))
+    card = dict(variables)
+    names = list(card)
+    draws = np.random.default_rng(23).exponential(1.0, size=(2, 3, 2, 2, 2, 4))
+    joints = draws / draws.sum(axis=tuple(range(5)))
+    keep = [names.index(n) for n in xs + ys + zs]
+    rest = [i for i in range(5) if i not in keep]
+    m = joints.transpose(keep + rest + [5]).reshape(
+        math.prod(card[n] for n in xs), math.prod(card[n] for n in ys),
+        math.prod(card[n] for n in zs), -1, 4).sum(axis=3)
+    viol = _ci_violations(m)
+    assert viol.shape == m.shape
+    for k in range(4):
+        want = ci_holds(JointTable(variables, joints[..., k]), CondQuery(xs, ys, zs), eps=1.0)
+        assert abs(viol[..., k].max() - want.max_violation) <= 1e-15
 
 
 # --- graph audits ------------------------------------------------------------------

@@ -327,6 +327,26 @@ def test_constructor_messages(nodes, edges, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: Dag([("X", "outcome", 2, 5)]),
+     "node declaration ('X', 'outcome', 2, 5) is not (name, kind, cardinality)"),
+    # two fields do not pick up the file grammar's default kind
+    (lambda: Dag([("X", "outcome")]),
+     "node declaration ('X', 'outcome') is not (name, kind, cardinality)"),
+    (lambda: Dag([("X", "outcome", 2)], [("X",)]), "edge declaration ('X',) is not (tail, head)"),
+    (lambda: Dag([("X", "outcome", 2)], [("X", "Y", "Z")]),
+     "edge declaration ('X', 'Y', 'Z') is not (tail, head)"),
+    (lambda: CondQuery([["A"]], {"B"}), "query set X must be a collection of names, got [['A']]"),
+    (lambda: CondQuery({"A"}, {"B"}, None), "query set Z must be a collection of names, got None"),
+], ids=["node-four-fields", "node-two-fields", "edge-one-field", "edge-three-fields",
+        "query-unhashable-name", "query-none-set"])
+def test_malformed_library_arguments_raise_graph_error(build, message):
+    with pytest.raises(GraphError) as exc:
+        build()
+    assert type(exc.value) is GraphError
+    assert str(exc.value) == message
+
+
 def test_kind_accepts_words_and_members():
     g = Dag([("X", NodeKind.SETTING, 2), ("A", "outcome", 2)], [("X", "A")])
     assert g.kind("X") is NodeKind.SETTING and g.kind("A") is NodeKind.OUTCOME
