@@ -300,13 +300,12 @@ def causal_markov_check(p: JointTable, g: Dag, eps: float = DEFAULT_EPS) -> Audi
 
 
 def compatible(p: JointTable, g: Dag, eps: float = DEFAULT_EPS) -> AuditReport:
-    """Graph compatibility, decided through the local Markov property.
+    """Graph compatibility: ``causal_markov_check``'s checks, retitled.
 
-    The checks are those of ``causal_markov_check``, titled "compatibility
-    audit". In exact arithmetic they hold iff ``p`` factorizes into one
-    conditional table per node given its parents (Pearl, *Causality*, 2nd
-    ed., Theorem 1.2.7); deciding by that factorization is the planned
-    second route (ROADMAP item 8), and no test checks the equivalence yet.
+    In exact arithmetic they hold iff ``p`` factorizes into one conditional
+    table per node given its parents (Pearl, *Causality*, 2nd ed., Theorem
+    1.2.7); ``test_factorization_equivalence`` compares the two on 20
+    random 4-node graphs at an entrywise 1e-9, not on ROADMAP item 1's family.
     """
     return _screening_audit(p, g, eps, "compatibility audit", g.parents)
 
@@ -360,7 +359,7 @@ def reichenbach_check(p: JointTable, g: Dag, x: str, y: str,
     marginal = ci_holds(p, CondQuery({x}, {y}), eps)
     if marginal.holds:
         return RpccReport(x, y, UNCORRELATED, common, marginal, None)
-    screened = ci_holds(p, CondQuery({x}, {y}, common), eps)
+    screened = ci_holds(p, CondQuery({x}, {y}, common), eps) if common else marginal
     verdict = SCREENED if screened.holds else VIOLATES_RPCC
     return RpccReport(x, y, verdict, common, marginal, screened)
 
@@ -385,10 +384,10 @@ def graphoid_audit(p: JointTable, eps: float = DEFAULT_EPS, trials: int = 1000,
 
     Per trial, disjoint sets (X, Y, Z, W) are sampled over the table's
     variables; whenever an axiom's antecedent independences hold within
-    ``eps`` the consequent is asserted at 10*eps. The intersection axiom
-    is only asserted on strictly positive tables; fired instances on
-    tables with zeros are counted as gated, never as failures, and the
-    gate is surfaced in the report.
+    ``eps`` the consequent is asserted at 10*eps. Every consequent but
+    symmetry's is an antecedent, so a trial asks at most six statements.
+    Intersection is asserted on strictly positive tables only; elsewhere
+    its fired instances count as gated, never failed, and the report says so.
 
     A consequent FAIL can be an artifact of the 10*eps bound, which is not
     derived (README, Tolerances). For binary X, Y, a 16-valued W and
@@ -412,23 +411,23 @@ def graphoid_audit(p: JointTable, eps: float = DEFAULT_EPS, trials: int = 1000,
 
     for _ in range(trials):
         x, y, z, w = _sample_roles(rng, p.names, len(p.names) >= 3)
-        fired = [("symmetry", (y, x, z))] if ci(x, y, z).holds else []
+        xy_z = ci(x, y, z)
+        fired = [("symmetry", ci(y, x, z))] if xy_z.holds else []
         if w:
-            if ci(x, y | w, z).holds:
-                fired += [("decomposition", (x, y, z)), ("weak_union", (x, y, z | w))]
-            # X _||_ Y | Z u W is contraction's and intersection's shared antecedent
-            if ci(x, y, z | w).holds:
+            xyw_z, xy_zw = ci(x, y | w, z), ci(x, y, z | w)
+            if xyw_z.holds:
+                fired += [("decomposition", xy_z), ("weak_union", xy_zw)]
+            if xy_zw.holds:
                 if ci(x, w, z).holds:
-                    fired.append(("contraction", (x, y | w, z)))
+                    fired.append(("contraction", xyw_z))
                 if ci(x, w, z | y).holds:
-                    fired.append(("intersection", (x, y | w, z)))
-        for axiom, query in fired:
+                    fired.append(("intersection", xyw_z))
+        for axiom, rep in fired:
             c = counts[axiom]
             c["fired"] += 1
             if axiom == "intersection" and not positive:
                 c["gated"] += 1
                 continue
-            rep = ci(*query)
             ok = rep.max_violation <= 10.0 * eps
             c["passed" if ok else "failed"] += 1
             if not ok and (axiom not in worst or rep.max_violation > worst[axiom][0].max_violation):

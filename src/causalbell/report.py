@@ -20,8 +20,12 @@ DEFAULT_EPS = 1e-9  # the default of every tolerance eps, in the library and the
 
 def _check_eps(eps: float) -> None:
     """The one rule for every tolerance, shared by the audits and the CLI."""
-    if not 0 < eps < math.inf:
-        raise GraphError(f"tolerance eps must be positive and finite, got {eps!r}")
+    try:
+        if 0 < eps < math.inf:
+            return
+    except (TypeError, ValueError):  # a string, None or an array: not a number
+        pass
+    raise GraphError(f"tolerance eps must be positive and finite, got {eps!r}")
 
 
 def _check_seed(seed: int) -> None:

@@ -7,31 +7,29 @@ import itertools
 import numpy as np
 import pytest
 
-from causalbell.graph import Dag, NodeKind
+from causalbell.graph import CycleError, Dag
 
 # labeled acyclic digraph counts, used to sanity-check the enumerator
 DAG_COUNTS = {0: 1, 1: 1, 2: 3, 3: 25, 4: 543, 5: 29281}
 
 
-def all_dags(n: int, card: int = 2, kind: str = "outcome"):
-    """Yield every labeled DAG on n nodes (3^C(n,2) candidates, acyclic kept).
+def all_dags(n: int):
+    """Yield every labeled DAG on n binary outcome nodes.
 
     Each unordered node pair independently carries no edge or one of the
-    two orientations; orientations along a fixed global order can never
-    all be cyclic, so candidates are filtered by a cheap cycle check.
+    two orientations; ``Dag`` refuses the cyclic ones of these 3^C(n,2)
+    candidates, so DAG_COUNTS also pins the library's cycle check.
     """
     names = [f"N{i}" for i in range(n)]
-    nodes = [(nm, kind, card) for nm in names]
-    pairs = list(itertools.combinations(range(n), 2))
+    nodes = [(nm, "outcome", 2) for nm in names]
+    pairs = list(itertools.combinations(names, 2))
     for states in itertools.product((0, 1, 2), repeat=len(pairs)):
-        edges = []
-        for (i, j), s in zip(pairs, states):
-            if s == 1:
-                edges.append((names[i], names[j]))
-            elif s == 2:
-                edges.append((names[j], names[i]))
-        if _acyclic(n, pairs, states):
-            yield Dag(nodes, edges)
+        edges = [(a, b) if s == 1 else (b, a) for (a, b), s in zip(pairs, states) if s]
+        try:
+            g = Dag(nodes, edges)
+        except CycleError:
+            continue
+        yield g
 
 
 def all_typed_dags(n: int):
@@ -44,28 +42,6 @@ def all_typed_dags(n: int):
         ]
         for kinds in itertools.product(*choices):
             yield Dag([(v, k, 2) for v, k in zip(g.names, kinds)], g.edges)
-
-
-def _acyclic(n: int, pairs, states) -> bool:
-    children = [[] for _ in range(n)]
-    indeg = [0] * n
-    for (i, j), s in zip(pairs, states):
-        if s == 1:
-            children[i].append(j)
-            indeg[j] += 1
-        elif s == 2:
-            children[j].append(i)
-            indeg[i] += 1
-    ready = [v for v in range(n) if indeg[v] == 0]
-    emitted = 0
-    while ready:
-        v = ready.pop()
-        emitted += 1
-        for c in children[v]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                ready.append(c)
-    return emitted == n
 
 
 def random_typed_dag(rng: np.random.Generator, n_nodes: int = 5,

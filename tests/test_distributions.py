@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from causalbell import distributions
 from causalbell.bell import (
     CHSH_ANGLES,
     Behavior,
@@ -60,6 +61,19 @@ def triple_copy():
 
 def edgeless(*names):
     return Dag([(n, "outcome", 2) for n in names])
+
+
+def asked_queries(monkeypatch):
+    """The queries the audits put to ``ci_holds`` from here on, in order."""
+    asked = []
+    real = distributions.ci_holds
+
+    def counted(p, q, *args, **kwargs):
+        asked.append(q)
+        return real(p, q, *args, **kwargs)
+
+    monkeypatch.setattr(distributions, "ci_holds", counted)
+    return asked
 
 
 # --- table validation ----------------------------------------------------------
@@ -438,10 +452,20 @@ def test_rpcc_uncorrelated_for_independent_coins():
     assert report.verdict == UNCORRELATED
 
 
-def test_rpcc_violation_for_copy_pair():
+def test_rpcc_violation_for_copy_pair(monkeypatch):
+    asked = asked_queries(monkeypatch)
     report = reichenbach_check(copy_pair(), edgeless("P", "Q"), "P", "Q")
     assert report.verdict == VIOLATES_RPCC
     assert report.common_past == ()
+    # with no common past the screening query is the marginal one, asked once
+    assert asked == [CondQuery({"P"}, {"Q"})]
+    assert report.screened is report.marginal
+    assert report.to_text() == (
+        "verdict: violates_rpcc\n"
+        "common past: {}\n"
+        "marginal dependence: 0.250000000\n"
+        "residual dependence given common past: 0.250000000\n"
+    )
 
 
 def test_rpcc_direct_cause_branch():
@@ -572,6 +596,20 @@ def test_graphoid_failure_path_reports_worst_consequent_and_counterexample():
     decomposition = report.checks[1]
     assert decomposition.violation == consequent.max_violation
     assert decomposition.witness == consequent.witness == (("X", 0), ("Y", 0))
+
+
+def test_graphoid_trial_asks_each_statement_once(monkeypatch):
+    """On a positive product table every antecedent holds, so every axiom
+    fires in every trial. Four consequents are antecedents the trial has
+    asked already; only symmetry's, Y _||_ X | Z, is a sixth statement."""
+    p = random_compatible(edgeless("A", "B", "C", "D"), 4)
+    assert (p.probabilities > 0).all()
+    asked = asked_queries(monkeypatch)
+    report = graphoid_audit(p, trials=50)
+    assert len(asked) == 300
+    assert all(len(set(asked[k:k + 6])) == 6 for k in range(0, 300, 6))
+    assert report.passed
+    assert [c.detail["fired"] for c in report.checks] == [50] * 5
 
 
 def test_graphoid_audit_deterministic_per_seed():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from causalbell.bell import no_signalling_check, pr_box
+from causalbell.distributions import JointTable, ci_holds, graphoid_audit
 from causalbell.graph import (
     CondQuery,
     CycleError,
@@ -338,8 +340,16 @@ def test_constructor_messages(nodes, edges, message):
      "edge declaration ('X', 'Y', 'Z') is not (tail, head)"),
     (lambda: CondQuery([["A"]], {"B"}), "query set X must be a collection of names, got [['A']]"),
     (lambda: CondQuery({"A"}, {"B"}, None), "query set Z must be a collection of names, got None"),
+    # a tolerance that does not compare with numbers gets the message a bad number gets
+    (lambda: ci_holds(JointTable((("P", 2), ("Q", 2)), np.full((2, 2), 0.25)),
+                      CondQuery({"P"}, {"Q"}), "1e-9"),
+     "tolerance eps must be positive and finite, got '1e-9'"),
+    (lambda: graphoid_audit(JointTable((("P", 2), ("Q", 2)), np.full((2, 2), 0.25)), eps=None),
+     "tolerance eps must be positive and finite, got None"),
+    (lambda: no_signalling_check(pr_box(), eps=np.array([1e-9, 1e-3])),
+     "tolerance eps must be positive and finite, got array([1.e-09, 1.e-03])"),
 ], ids=["node-four-fields", "node-two-fields", "edge-one-field", "edge-three-fields",
-        "query-unhashable-name", "query-none-set"])
+        "query-unhashable-name", "query-none-set", "eps-string", "eps-none", "eps-array"])
 def test_malformed_library_arguments_raise_graph_error(build, message):
     with pytest.raises(GraphError) as exc:
         build()
